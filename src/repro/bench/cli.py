@@ -278,7 +278,10 @@ def _perf_main(argv: list[str]) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero on a >30%% events/sec regression vs the best prior record",
+        help=(
+            "exit non-zero on a >30%% events/sec regression vs the best prior "
+            "record from a comparable host with the same --quick flag"
+        ),
     )
     parser.add_argument(
         "--no-save", action="store_true", help="measure and report without recording"

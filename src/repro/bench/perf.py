@@ -14,8 +14,10 @@ against:
 
 Records live in ``benchmarks/records/BENCH_<date>.json`` (a JSON list;
 same-day runs append).  ``--check`` compares the fresh events/sec
-against the best previously recorded value and fails on a >30 %
-regression — the CI gate for the replay fast path.
+against the best prior record taken with the same ``quick`` flag on a
+comparable host (same Python, implementation, CPU count and platform)
+and fails on a >30 % regression — the CI gate for the replay fast path.
+With no comparable record it says so and skips the comparison.
 """
 
 from __future__ import annotations
@@ -171,11 +173,30 @@ def load_records(records_dir: Path) -> list[dict]:
     return records
 
 
-def baseline_events_per_sec(records: list[dict]) -> float | None:
-    """The best previously recorded replay throughput (the CI baseline)."""
+COMPARABLE_PROVENANCE = ("python", "implementation", "cpu_count", "platform")
+"""Provenance fields a prior record must share with a run to be its
+baseline.  ``git_sha`` is deliberately absent: comparing commits is the
+point of the gate."""
+
+
+def comparable(record: dict, *, quick: bool, host: dict) -> bool:
+    """True if *record* was taken with the same ``quick`` flag on a host
+    whose :data:`COMPARABLE_PROVENANCE` fields all equal *host*'s."""
+    prov = record.get("provenance")
+    if record.get("quick") != quick or not isinstance(prov, dict):
+        return False
+    return all(prov.get(key) == host.get(key) for key in COMPARABLE_PROVENANCE)
+
+
+def baseline_events_per_sec(
+    records: list[dict], *, quick: bool, host: dict
+) -> float | None:
+    """The best replay throughput among records comparable to this run
+    (the CI baseline), or None when no record is comparable."""
     values = [
         r.get("replay", {}).get("events_per_sec")
         for r in records
+        if comparable(r, quick=quick, host=host)
     ]
     values = [v for v in values if isinstance(v, (int, float)) and v > 0]
     return max(values) if values else None
@@ -212,7 +233,9 @@ def render_record(record: dict, *, baseline: float | None = None) -> str:
     if baseline is not None:
         current = record["replay"]["events_per_sec"]
         delta = (current - baseline) / baseline
-        lines.append(f"  vs baseline: {delta:+.1%} events/sec (best prior {baseline:,.0f})")
+        lines.append(
+            f"  vs baseline: {delta:+.1%} events/sec (best comparable prior {baseline:,.0f})"
+        )
     return "\n".join(lines)
 
 
@@ -229,12 +252,13 @@ def run_perf(
 
     *ok* is False only when *check* is set and the fresh events/sec
     regressed more than :data:`REGRESSION_TOLERANCE` below the best
-    previously committed record.  When *save* is set the record lands
-    both in the legacy BENCH_<date>.json blob (old readers keep
-    working) and as a ``bench`` run in :mod:`repro.store`.
+    comparable prior record (see :func:`comparable`).  When *save* is
+    set the record lands both in the legacy BENCH_<date>.json blob (old
+    readers keep working) and as a ``bench`` run in :mod:`repro.store`.
     """
-    baseline = baseline_events_per_sec(load_records(records_dir))
+    prior = load_records(records_dir)
     record = collect_record(quick=quick, jobs=jobs)
+    baseline = baseline_events_per_sec(prior, quick=quick, host=record["provenance"])
     lines = [render_record(record, baseline=baseline)]
     if save:
         path = append_record(record, records_dir)
@@ -255,11 +279,14 @@ def run_perf(
             ok = False
             lines.append(
                 f"  REGRESSION : {current:,.0f} events/sec is below the "
-                f"{1.0 - REGRESSION_TOLERANCE:.0%} floor of the best prior "
-                f"record ({floor:,.0f})"
+                f"{1.0 - REGRESSION_TOLERANCE:.0%} floor of the best comparable "
+                f"prior record ({floor:,.0f})"
             )
         else:
             lines.append("  check      : within tolerance")
     elif check:
-        lines.append("  check      : no prior records, nothing to compare against")
+        lines.append(
+            "  check      : no comparable baseline (same quick flag, python, "
+            "implementation, cpu_count and platform); comparison skipped"
+        )
     return "\n".join(lines), ok

@@ -154,17 +154,15 @@ class RunResult:
         return engine / total if total else 0.0
 
 
-def prewarm_llc(machine: Machine, engine) -> None:
-    """Install the workload's hot data set into the shared LLC.
+def prewarm_picks(engine, budget: int) -> list[tuple[int, int, int]]:
+    """The ``(base, count, step)`` line picks of a prewarm, hottest first.
 
-    Regions come hottest-first from the engine; they are replayed
-    coldest-first so the hottest lines end most-recently-used.  Regions
-    wider than the remaining budget are stride-sampled, approximating
-    the random residency steady state leaves behind.
+    Regions come hottest-first from the engine and are taken whole
+    until *budget* lines are spent; regions wider than the remaining
+    budget are stride-sampled, approximating the random residency
+    steady state leaves behind.
     """
-    llc = machine.hierarchy.llc
-    budget = llc.spec.n_lines
-    picks: list[tuple[int, int, int]] = []  # (base, count, step)
+    picks: list[tuple[int, int, int]] = []
     for base, n_lines in engine.hot_regions():
         if budget <= 0:
             break
@@ -172,10 +170,18 @@ def prewarm_llc(machine: Machine, engine) -> None:
         step = max(1, n_lines // take)
         picks.append((base, take, step))
         budget -= take
-    for base, take, step in reversed(picks):
-        fill = llc.fill
-        for i in range(take):
-            fill(base + i * step)
+    return picks
+
+
+def prewarm_llc(machine: Machine, engine) -> None:
+    """Install the workload's hot data set into the shared LLC.
+
+    The picks are filled coldest-first so the hottest lines end
+    most-recently-used.
+    """
+    llc = machine.hierarchy.llc
+    with obs.span("prewarm", track="harness", cat="harness"):
+        llc.fill_regions(prewarm_picks(engine, llc.spec.n_lines)[::-1])
 
 
 def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
@@ -191,16 +197,18 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
         # Partitioned engines get one partition per worker (paper
         # Section 3: VoltDB generates one worker per partition).
         config = replace(config, n_partitions=spec.n_cores)
-    engine = make_engine(spec.system, config)
-    workload.setup(engine)
-    machine = Machine(
-        spec.server,
-        n_cores=spec.n_cores,
-        overlap=spec.overlap,
-        serial_miss_extra_cycles=spec.serial_miss_extra_cycles,
-        tlb_mode=spec.tlb_mode,
-        tlb_spec=spec.tlb_spec,
-    )
+    obs_mark = obs.mark()
+    with obs.span("setup", track="harness", cat="harness", system=spec.system):
+        engine = make_engine(spec.system, config)
+        workload.setup(engine)
+        machine = Machine(
+            spec.server,
+            n_cores=spec.n_cores,
+            overlap=spec.overlap,
+            serial_miss_extra_cycles=spec.serial_miss_extra_cycles,
+            tlb_mode=spec.tlb_mode,
+            tlb_spec=spec.tlb_spec,
+        )
     prewarm_llc(machine, engine)
 
     rng = root_rng(seed, "workload")
@@ -256,7 +264,6 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
                 break
         return txns
 
-    obs_mark = obs.mark()
     with obs.span(
         "repetition", track="harness", cat="harness", system=spec.system, seed=seed
     ) as rep_span:

@@ -13,8 +13,17 @@ pop/re-insert implements a move-to-MRU.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from repro.core.spec import CacheSpec
+
+
+def _disjoint(regions: list[tuple[int, int, int]]) -> bool:
+    """True if no two ``(base, count, step)`` regions' line spans overlap."""
+    spans = sorted(
+        (base, base + (count - 1) * step) for base, count, step in regions if count > 0
+    )
+    return all(prev_end < start for (_, prev_end), (start, _) in zip(spans, spans[1:]))
 
 
 @dataclass
@@ -90,6 +99,44 @@ class SetAssociativeCache:
             s.pop(next(iter(s)))
             self.stats.evictions += 1
         s[line_addr] = dirty
+
+    def fill_regions(self, regions: list[tuple[int, int, int]]) -> None:
+        """Fill every line of each ``(base, count, step)`` region, in order.
+
+        Exactly ``fill(base + i * step)`` for each region in turn and
+        ``i`` in ``range(count)``: the same set contents, LRU order,
+        dirty flags and :class:`CacheStats`.  The set-dict probes are
+        inlined and evictions counted once, as in
+        :meth:`~repro.core.hierarchy.MemoryHierarchy.access_instr_run`.
+
+        From an empty cache with pairwise-disjoint region spans every
+        fill installs a new line, so each set ends holding the last
+        ``assoc`` lines that touched it.  A region's lines that share a
+        set are every ``period``-th line, ``period = n_sets / gcd(step,
+        n_sets)``; a line with ``assoc`` same-set successors in its own
+        region is evicted by them before the region ends.  Those are
+        exactly the region's first ``count - period * assoc`` lines, so
+        they are skipped and counted as evictions.
+        """
+        sets, n_sets, assoc = self._sets, self.n_sets, self.assoc
+        skip = not any(sets) and _disjoint(regions)
+        evictions = 0
+        for base, count, step in regions:
+            first = 0
+            if skip:
+                first = max(0, count - n_sets // gcd(step, n_sets) * assoc)
+                evictions += first
+            for line in range(base + first * step, base + count * step, step):
+                s = sets[line % n_sets]
+                prev = s.pop(line, None)
+                if prev is not None:
+                    s[line] = prev
+                    continue
+                if len(s) >= assoc:
+                    del s[next(iter(s))]
+                    evictions += 1
+                s[line] = False
+        self.stats.evictions += evictions
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (coherence); return True if it was present."""

@@ -220,7 +220,7 @@ class DBMSMTransaction(Transaction):
                 )
                 row_id = eng.table(table).probe(key, None, 0)
                 eng.wal.append(
-                    self.txn_id, "update", eng.table(table).heap.schema.row_bytes,
+                    self.txn_id, "update", eng.table(table).heap.row_bytes,
                     self.trace, eng.mods["log"],
                     payload=(table, row_id, new_row),
                 )

@@ -84,7 +84,7 @@ class HyPerTransaction(Transaction):
         # Redo logging is compiled straight into the transaction code;
         # the after-image payload makes the log replayable.
         eng.redo_log.append(
-            self.txn_id, "update", eng.table(table).heap.schema.row_bytes,
+            self.txn_id, "update", eng.table(table).heap.row_bytes,
             self.trace, self._compiled,
             payload=(table, row_id, new_row),
         )

@@ -118,7 +118,7 @@ class ShoreMTTransaction(Transaction):
         new_row = heap.update_column(row_id, column, value, self.trace, eng.mods["heap_code"])
         eng._w(self.trace, "log", 0.30)
         eng.wal.append(
-            self.txn_id, "update", heap.schema.row_bytes, self.trace, eng.mods["log"],
+            self.txn_id, "update", heap.row_bytes, self.trace, eng.mods["log"],
             payload=(table, row_id, new_row),
         )
         return new_row
@@ -137,7 +137,7 @@ class ShoreMTTransaction(Transaction):
         self._fix_row_page(table, row_id)
         eng._w(self.trace, "log", 0.35)
         eng.wal.append(
-            self.txn_id, "insert", tbl.heap.schema.row_bytes, self.trace, eng.mods["log"],
+            self.txn_id, "insert", tbl.heap.row_bytes, self.trace, eng.mods["log"],
             payload=(table, key if key is not None else row_id, row_id, tuple(values)),
         )
         return row_id

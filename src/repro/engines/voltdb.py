@@ -90,7 +90,7 @@ class VoltDBTransaction(Transaction):
         eng._w(self.trace, "undo", 0.40)
         self._undo_entries.append(("update", table, row_id,
                                    eng.table(table).heap.read(row_id)))
-        eng.undo_log.append(self.txn_id, "undo", eng.table(table).heap.schema.row_bytes,
+        eng.undo_log.append(self.txn_id, "undo", eng.table(table).heap.row_bytes,
                             self.trace, eng.mods["undo"])
         eng._w(self.trace, "table_code", 0.26)
         new_row = eng.table(table).heap.update_column(

@@ -341,6 +341,20 @@ class TestRunnerIntegration:
         assert {"execute_txn", "replay", "repetition", "wal.append"} <= names
         assert result.obs_metrics["counters"]  # commits, wal appends, ...
 
+    def test_setup_and_prewarm_spans_precede_repetition(self):
+        from repro.bench.parallel import workload_spec
+        from repro.bench.runner import run_repetition
+
+        spec = tiny_spec()
+        with obs.using_obs(True):
+            result = run_repetition(
+                spec, workload_spec("micro", db_bytes=1 << 20), spec.rep_seed(0)
+            )
+        harness = {e.name: e for e in result.obs_buffers[0] if e.track == "harness"}
+        setup, prewarm, rep = harness["setup"], harness["prewarm"], harness["repetition"]
+        assert setup.ts_us + setup.dur_us <= prewarm.ts_us
+        assert prewarm.ts_us + prewarm.dur_us <= rep.ts_us
+
     def test_parallel_parity_with_obs_on(self):
         from repro.bench.parallel import CellTask, run_cells, workload_spec
 
