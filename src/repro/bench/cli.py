@@ -10,7 +10,7 @@ Usage::
     python -m repro.bench load --clients 1000000 --arrival flash   # open loop
     python -m repro.bench trace fig1 --out trace.json   # Perfetto trace
     python -m repro.bench top fig1            # TMAM top-down report
-    python -m repro.bench store migrate       # promote legacy records
+    python -m repro.bench store list          # every stored run
     python -m repro.bench diff RUN_A RUN_B    # compare two stored runs
     python -m repro.bench history p999_us     # one metric's trajectory
     python -m repro.bench serve               # dashboard on :8642
@@ -264,23 +264,17 @@ def _perf_main(argv: list[str]) -> int:
         prog="repro-bench perf",
         description=(
             "Measure simulator throughput (events/sec, txns/sec, figure "
-            "wall-clock) and append a BENCH_<date>.json record."
+            "wall-clock) and record a bench run in the run store."
         ),
     )
     parser.add_argument("--quick", action="store_true", help="shorter timing runs")
     _add_jobs_argument(parser)
     parser.add_argument(
-        "--records-dir",
-        type=Path,
-        default=None,
-        help="where BENCH_*.json records live (default: benchmarks/records)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help=(
             "exit non-zero on a >30%% events/sec regression vs the best prior "
-            "record from a comparable host with the same --quick flag"
+            "stored run from a comparable host with the same --quick flag"
         ),
     )
     parser.add_argument(
@@ -289,12 +283,11 @@ def _perf_main(argv: list[str]) -> int:
     _add_store_dir_argument(parser)
     args = parser.parse_args(argv)
 
-    from repro.bench.perf import DEFAULT_RECORDS_DIR, run_perf
+    from repro.bench.perf import run_perf
 
     text, ok = run_perf(
         quick=args.quick,
         jobs=_resolve_jobs(args.jobs),
-        records_dir=args.records_dir or DEFAULT_RECORDS_DIR,
         check=args.check,
         save=not args.no_save,
         store_dir=args.store_dir,
@@ -412,10 +405,6 @@ def _load_main(argv: list[str]) -> int:
     _add_jobs_argument(parser)
     _add_sanitize_argument(parser)
     parser.add_argument(
-        "--records-dir", type=Path, default=None,
-        help="where LOAD_*.json records live (default: benchmarks/records)",
-    )
-    parser.add_argument(
         "--no-save", action="store_true", help="report without recording"
     )
     parser.add_argument(
@@ -472,13 +461,7 @@ def _load_main(argv: list[str]) -> int:
 
     from repro.lint import sanitizer
     from repro.load import ArrivalSpec, LoadSpec, run_load
-    from repro.load.report import (
-        DEFAULT_RECORDS_DIR,
-        append_load_record,
-        load_record,
-        read_load_records,
-        render_load_report,
-    )
+    from repro.load.report import load_record, render_load_report
 
     arrival_kwargs = dict(
         process=args.arrival,
@@ -527,33 +510,21 @@ def _load_main(argv: list[str]) -> int:
         parser.error(str(exc))
     # Stdout is a pure function of the seed (no wall clock, no host
     # facts) so serial vs --jobs N and sanitized vs plain runs byte-diff
-    # clean; timestamps/provenance live only in the LOAD_<date> record.
+    # clean; timestamps/provenance live only in the stored run.
     with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
         result = run_load(spec, jobs=_resolve_jobs(args.jobs))
         print(render_load_report(result))
         status = 0
         if args.sanitize and _report_sanitizer("load"):
             status = 1
-    record = load_record(result)
-    records_dir = args.records_dir or DEFAULT_RECORDS_DIR
-    # The store rides beside the records dir unless placed explicitly,
-    # so redirecting --records-dir (tests, CI sandboxes) never writes
-    # into the repo's benchmarks/store/.
-    store_dir = args.store_dir or Path(records_dir).parent / "store"
-    if args.check:
-        from repro.store import (
-            LOAD,
-            check_load_regression,
-            find_load_baseline,
-            load_run,
-        )
+    from repro.store import load_run
 
-        store = _open_store(store_dir)
-        candidates = [load_run(r) for r in read_load_records(records_dir)]
-        candidates.extend(
-            store.get(meta["run_id"]) for meta in store.list_runs(LOAD)
-        )
-        fresh = load_run(record)
+    store = _open_store(args.store_dir)
+    fresh = load_run(load_record(result))
+    if args.check:
+        from repro.store import LOAD, check_load_regression, find_load_baseline
+
+        candidates = [store.get(meta["run_id"]) for meta in store.list_runs(LOAD)]
         if find_load_baseline(fresh.spec, candidates) is None:
             # A gate that silently passes because nothing matched is a
             # gate that never fires: make the missing baseline loud and
@@ -561,7 +532,7 @@ def _load_main(argv: list[str]) -> int:
             # This run is still recorded below, so it becomes the
             # baseline the next invocation gates against.
             print(
-                "load check: no matching baseline — no committed record "
+                "load check: no matching baseline — no stored run "
                 "shares this spec (system/mix/backend/chaos/resilience/"
                 "seed); this run is recorded as the baseline unless "
                 "--no-save was given",
@@ -574,12 +545,7 @@ def _load_main(argv: list[str]) -> int:
             if not check_ok:
                 status = 1
     if not args.no_save:
-        from repro.store import load_run
-
-        path = append_load_record(record, records_dir)
-        print(f"recorded: {path}")
-        run_id = _open_store(store_dir).put(load_run(record))
-        print(f"store: {run_id}")
+        print(f"store: {store.put(fresh)}")
     return status
 
 
@@ -722,11 +688,6 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8642, help="port (default 8642)")
     parser.add_argument(
-        "--no-migrate",
-        action="store_true",
-        help="skip the idempotent legacy-record migration on startup",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="log requests to stderr"
     )
     _add_store_dir_argument(parser)
@@ -734,15 +695,9 @@ def _serve_main(argv: list[str]) -> int:
     if not 0 <= args.port <= 65535:
         parser.error(f"--port must be in [0, 65535] (got {args.port})")
 
-    from repro.store import migrate_records
-    from repro.store.migrate import render_migration
     from repro.store.server import serve
 
     store = _open_store(args.store_dir)
-    if not args.no_migrate:
-        migrated, skipped = migrate_records(store=store)
-        if migrated or skipped:
-            print(render_migration(migrated, skipped), file=sys.stderr)
     print(
         f"serving {store.root} on http://{args.host}:{args.port}/ (Ctrl-C stops)",
         file=sys.stderr,
@@ -808,31 +763,16 @@ def _history_main(argv: list[str]) -> int:
 def _store_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench store",
-        description="Run-store maintenance: migrate legacy records, list runs.",
+        description="Run-store maintenance: list runs.",
     )
     parser.add_argument(
-        "action", choices=("migrate", "list"),
-        help="migrate: promote benchmarks/records/*.json (idempotent); "
-        "list: every stored run, oldest first",
-    )
-    parser.add_argument(
-        "--records-dir", type=Path, default=None,
-        help="legacy records to migrate (default: benchmarks/records)",
+        "action", choices=("list",),
+        help="list: every stored run, oldest first",
     )
     _add_store_dir_argument(parser)
     args = parser.parse_args(argv)
 
-    store = _open_store(args.store_dir)
-    if args.action == "migrate":
-        from repro.store import migrate_records
-        from repro.store.migrate import DEFAULT_RECORDS_DIR, render_migration
-
-        migrated, skipped = migrate_records(
-            args.records_dir or DEFAULT_RECORDS_DIR, store=store
-        )
-        print(render_migration(migrated, skipped))
-        return 0
-    for meta in store.list_runs():
+    for meta in _open_store(args.store_dir).list_runs():
         summary = meta.get("summary") or {}
         parts = "  ".join(
             f"{key}={value}" for key, value in summary.items()

@@ -1,9 +1,9 @@
 """Performance tracking: ``repro-bench perf``.
 
 Measures the simulator's own speed — the numbers the bench suite
-guards — and appends them to a dated JSON record so the repository
-accumulates a performance trajectory that future PRs can be judged
-against:
+guards — and records them as a ``bench`` run in :mod:`repro.store` so
+the repository accumulates a performance trajectory that future PRs can
+be judged against:
 
 * **events/sec** through ``Machine.run_trace`` (the replay hot loop,
   same trace shape as ``test_trace_replay_throughput``);
@@ -12,26 +12,25 @@ against:
 * **wall-clock** for a quick figure sweep, honouring ``--jobs`` so the
   parallel runner's turnaround is part of the record.
 
-Records live in ``benchmarks/records/BENCH_<date>.json`` (a JSON list;
-same-day runs append).  ``--check`` compares the fresh events/sec
-against the best prior record taken with the same ``quick`` flag on a
-comparable host (same Python, implementation, CPU count and platform)
-and fails on a >30 % regression — the CI gate for the replay fast path.
-With no comparable record it says so and skips the comparison.
+Runs live in the run store (``benchmarks/store/bench-<date>-<seq>/``).
+``--check`` compares the fresh events/sec against the best prior
+``bench`` run taken with the same ``quick`` flag on a comparable host
+(same Python, implementation, CPU count and platform) and fails on a
+>30 % regression — the CI gate for the replay fast path.  With no
+comparable run it says so and skips the comparison.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
 from pathlib import Path
 
-from repro.util.clock import perf_timer, timestamp, today
+from repro.store import BENCH, DEFAULT_STORE_DIR, RunRecord, RunStore, bench_run
+from repro.util.clock import perf_timer, timestamp
 from repro.util.rng import root_rng
 
-DEFAULT_RECORDS_DIR = Path("benchmarks") / "records"
 REGRESSION_TOLERANCE = 0.30
 """Fail ``--check`` when events/sec drops by more than this fraction."""
 
@@ -125,7 +124,7 @@ def _git_sha() -> str | None:
 
 
 def provenance() -> dict:
-    """Who/where/what produced a record, so BENCH trajectories are
+    """Who/where/what produced a record, so bench trajectories are
     attributable (same-machine comparisons only, commit lookup)."""
     return {
         "git_sha": _git_sha(),
@@ -137,14 +136,13 @@ def provenance() -> dict:
 
 
 def collect_record(*, quick: bool = False, jobs: int | None = None) -> dict:
-    """Run every perf bench and assemble one dated record."""
+    """Run every perf bench and assemble one timestamped record."""
     replay = bench_replay_events_per_sec(min_seconds=0.25 if quick else 0.5)
     engine = bench_engine_txns_per_sec(n_txns=1000 if quick else 3000)
     sweep = bench_figure_sweep(
         QUICK_SWEEP_FIGURES if quick else FULL_SWEEP_FIGURES, jobs=jobs
     )
     return {
-        "date": today(),
         "timestamp": timestamp(),
         "quick": quick,
         "python": platform.python_version(),
@@ -156,66 +154,32 @@ def collect_record(*, quick: bool = False, jobs: int | None = None) -> dict:
     }
 
 
-def load_records(records_dir: Path) -> list[dict]:
-    """Every record across all BENCH_*.json files, oldest file first."""
-    records: list[dict] = []
-    if not records_dir.is_dir():
-        return records
-    for path in sorted(records_dir.glob("BENCH_*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(data, list):
-            records.extend(r for r in data if isinstance(r, dict))
-        elif isinstance(data, dict):
-            records.append(data)
-    return records
-
-
 COMPARABLE_PROVENANCE = ("python", "implementation", "cpu_count", "platform")
-"""Provenance fields a prior record must share with a run to be its
+"""Provenance fields a prior run must share with a run to be its
 baseline.  ``git_sha`` is deliberately absent: comparing commits is the
 point of the gate."""
 
 
-def comparable(record: dict, *, quick: bool, host: dict) -> bool:
-    """True if *record* was taken with the same ``quick`` flag on a host
-    whose :data:`COMPARABLE_PROVENANCE` fields all equal *host*'s."""
-    prov = record.get("provenance")
-    if record.get("quick") != quick or not isinstance(prov, dict):
+def comparable(run: RunRecord, *, quick: bool, host: dict) -> bool:
+    """True if the stored *run* was taken with the same ``quick`` flag on
+    a host whose :data:`COMPARABLE_PROVENANCE` fields all equal *host*'s."""
+    if run.spec.get("quick") != quick:
         return False
-    return all(prov.get(key) == host.get(key) for key in COMPARABLE_PROVENANCE)
+    return all(run.provenance.get(key) == host.get(key) for key in COMPARABLE_PROVENANCE)
 
 
 def baseline_events_per_sec(
-    records: list[dict], *, quick: bool, host: dict
+    runs: list[RunRecord], *, quick: bool, host: dict
 ) -> float | None:
-    """The best replay throughput among records comparable to this run
-    (the CI baseline), or None when no record is comparable."""
+    """The best replay throughput among stored runs comparable to this
+    one (the CI baseline), or None when no run is comparable."""
     values = [
-        r.get("replay", {}).get("events_per_sec")
-        for r in records
-        if comparable(r, quick=quick, host=host)
+        run.payload.get("replay", {}).get("events_per_sec")
+        for run in runs
+        if comparable(run, quick=quick, host=host)
     ]
     values = [v for v in values if isinstance(v, (int, float)) and v > 0]
     return max(values) if values else None
-
-
-def append_record(record: dict, records_dir: Path) -> Path:
-    """Append *record* to today's BENCH_<date>.json (creating it)."""
-    records_dir.mkdir(parents=True, exist_ok=True)
-    path = records_dir / f"BENCH_{record['date']}.json"
-    existing: list[dict] = []
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            existing = data if isinstance(data, list) else [data]
-        except (OSError, json.JSONDecodeError):
-            existing = []
-    existing.append(record)
-    path.write_text(json.dumps(existing, indent=2) + "\n")
-    return path
 
 
 def render_record(record: dict, *, baseline: float | None = None) -> str:
@@ -243,7 +207,6 @@ def run_perf(
     *,
     quick: bool = False,
     jobs: int | None = None,
-    records_dir: Path = DEFAULT_RECORDS_DIR,
     check: bool = False,
     save: bool = True,
     store_dir: Path | None = None,
@@ -252,23 +215,16 @@ def run_perf(
 
     *ok* is False only when *check* is set and the fresh events/sec
     regressed more than :data:`REGRESSION_TOLERANCE` below the best
-    comparable prior record (see :func:`comparable`).  When *save* is
-    set the record lands both in the legacy BENCH_<date>.json blob (old
-    readers keep working) and as a ``bench`` run in :mod:`repro.store`.
+    comparable prior ``bench`` run in the store (see :func:`comparable`).
+    When *save* is set the record is written to the store as a new
+    ``bench`` run.
     """
-    prior = load_records(records_dir)
+    store = RunStore(store_dir or DEFAULT_STORE_DIR)
+    prior = [store.get(meta["run_id"]) for meta in store.list_runs(BENCH)]
     record = collect_record(quick=quick, jobs=jobs)
     baseline = baseline_events_per_sec(prior, quick=quick, host=record["provenance"])
     lines = [render_record(record, baseline=baseline)]
     if save:
-        path = append_record(record, records_dir)
-        lines.append(f"  recorded   : {path}")
-        from repro.store import RunStore, bench_run
-
-        # The store sits beside the records dir, so a caller that
-        # redirects records (tests, CI sandboxes) never writes into the
-        # repo's benchmarks/store/.
-        store = RunStore(store_dir or Path(records_dir).parent / "store")
         run_id = store.put(bench_run(record))
         lines.append(f"  store      : {run_id}")
     ok = True
@@ -280,7 +236,7 @@ def run_perf(
             lines.append(
                 f"  REGRESSION : {current:,.0f} events/sec is below the "
                 f"{1.0 - REGRESSION_TOLERANCE:.0%} floor of the best comparable "
-                f"prior record ({floor:,.0f})"
+                f"prior run ({floor:,.0f})"
             )
         else:
             lines.append("  check      : within tolerance")

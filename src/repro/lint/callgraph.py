@@ -1,7 +1,7 @@
 """The whole-program layer under the interprocedural passes.
 
 The single-file rule engine (:mod:`repro.lint.engine`) answers "is
-this line syntactically bad"; the project passes (taint, locks, units,
+this line syntactically bad"; the project passes (taint, units,
 streams) need to answer "does this *flow* somewhere bad", which takes
 a view of the whole program: which modules exist, which function each
 call site actually reaches, and what every function's summary looks
@@ -343,7 +343,7 @@ class Project:
 
 
 class ProjectPass:
-    """Base class for whole-program passes (taint, locks, units, streams)."""
+    """Base class for whole-program passes (taint, units, streams)."""
 
     name: str = ""
     summary: str = ""

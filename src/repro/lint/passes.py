@@ -24,7 +24,6 @@ from repro.lint.engine import (
     LintEngine,
     _line_suppressed,
 )
-from repro.lint.locks import LockOrderPass
 from repro.lint.streams import StreamsPass
 from repro.lint.taint import TaintPass
 from repro.lint.units import UnitsPass
@@ -32,7 +31,7 @@ from repro.lint.units import UnitsPass
 
 def default_passes() -> list[ProjectPass]:
     """Every registered project pass, in report order."""
-    return [TaintPass(), LockOrderPass(), UnitsPass(), StreamsPass()]
+    return [TaintPass(), UnitsPass(), StreamsPass()]
 
 
 def pass_names() -> list[str]:

@@ -51,7 +51,7 @@ _CLOCK_HINTS = {
     "time.time": "wall_timer()",
     "time.perf_counter": "perf_timer()",
     "time.perf_counter_ns": "perf_timer_ns()",
-    "time.strftime": "today() / timestamp()",
+    "time.strftime": "timestamp()",
 }
 
 

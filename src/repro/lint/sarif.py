@@ -39,10 +39,8 @@ def _rule_catalogue() -> dict[str, str]:
             rule_id = getattr(pass_, attr, None)
             if rule_id:
                 catalogue[rule_id] = pass_.summary
-    from repro.lint import locks, streams, units
+    from repro.lint import streams, units
 
-    catalogue.setdefault(locks.ORDER_RULE, "lock-order cycle (potential deadlock)")
-    catalogue.setdefault(locks.LEAK_RULE, "lock leaked on an exception edge")
     catalogue.setdefault(units.RULE, "cross-unit time arithmetic")
     catalogue.setdefault(streams.PURPOSE_RULE, "unregistered child_rng purpose")
     catalogue.setdefault(streams.SCOPE_RULE, "sanitizer scope discipline")

@@ -34,7 +34,7 @@ Layering:
   delay separately from service time;
 * :mod:`repro.load.report` — nearest-rank latency percentiles
   (p50/p99/p999), throughput-vs-offered-load saturation curves, and
-  dated ``LOAD_<date>.json`` records next to the BENCH records.
+  the timestamped record ``repro-bench load`` stores as a ``load`` run.
 
 Exposed on the CLI as ``repro-bench load``; results are bit-identical
 serial vs ``--jobs N`` and sanitized vs plain.
@@ -48,7 +48,7 @@ from repro.load.arrivals import (
     timeline_digest,
 )
 from repro.load.driver import LoadPointResult, LoadResult, LoadSpec, run_load
-from repro.load.report import append_load_record, load_record, render_load_report
+from repro.load.report import load_record, render_load_report
 from repro.load.scenarios import MIXES, Mix
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "LoadSpec",
     "MIXES",
     "Mix",
-    "append_load_record",
     "build_timeline",
     "load_record",
     "render_load_report",

@@ -1,15 +1,15 @@
-"""Load-report rendering and dated LOAD_<date>.json records.
+"""Load-report rendering and the timestamped load record.
 
 Two outputs with deliberately different determinism contracts:
 
 * :func:`render_load_report` — the stdout report.  **No timestamps, no
   host facts**: CI byte-diffs it serial vs ``--jobs N`` and sanitized
   vs plain, so every character must be a pure function of the seed.
-* :func:`load_record` / :func:`append_load_record` — the dated JSON
-  record next to the BENCH records (``benchmarks/records/
-  LOAD_<date>.json``).  Records carry wall-clock timestamps and
-  provenance (git SHA, python, platform) because a load trajectory is
-  only attributable with them; they never reach stdout.
+* :func:`load_record` — the record ``repro-bench load`` stores as a
+  ``load`` run (:func:`repro.store.load_run` converts it).  Records
+  carry wall-clock timestamps and provenance (git SHA, python,
+  platform) because a load trajectory is only attributable with them;
+  they never reach stdout.
 
 Percentiles are nearest-rank over the merged seed-order sample list
 (see :func:`repro.obs.nearest_rank`): actual samples, no
@@ -17,9 +17,6 @@ interpolation, identical across execution plans.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.bench.report import (
     PERCENTILES,
@@ -29,8 +26,6 @@ from repro.bench.report import (
 )
 from repro.load.driver import LoadPointResult, LoadResult
 from repro.obs import nearest_rank
-
-DEFAULT_RECORDS_DIR = Path("benchmarks") / "records"
 
 
 def per_op_rows(point: LoadPointResult) -> dict[str, dict]:
@@ -267,22 +262,21 @@ def render_saturation_curve(result: LoadResult) -> str:
     return "\n".join(lines)
 
 
-# -- dated records ------------------------------------------------------------
+# -- the stored record --------------------------------------------------------
 
 
 def load_record(result: LoadResult) -> dict:
-    """One dated record for the LOAD_<date>.json trajectory.
+    """One timestamped record of *result*, stored as a ``load`` run.
 
     Wall-clock timestamp and host provenance live here, and only here —
     never in the stdout report.
     """
     from repro.bench.perf import provenance
-    from repro.util.clock import timestamp, today
+    from repro.util.clock import timestamp
 
     spec = result.spec
     arrival = spec.arrival
     return {
-        "date": today(),
         "timestamp": timestamp(),
         "provenance": provenance(),
         "spec": {
@@ -301,8 +295,9 @@ def load_record(result: LoadResult) -> dict:
             "fault_rate": spec.fault_rate,
             "seed": spec.seed,
             # None when chaos/resilience is off, matching the implicit
-            # None that `spec.get(...)` yields for legacy records — so
-            # classic baselines keep matching classic runs.
+            # None that `spec.get(...)` yields for stored runs that
+            # predate the keys — so classic baselines keep matching
+            # classic runs.
             "chaos": spec.chaos.to_dict() if spec.chaos is not None else None,
             "resilience": (
                 spec.resilience.to_dict() if spec.resilience is not None else None
@@ -314,56 +309,15 @@ def load_record(result: LoadResult) -> dict:
     }
 
 
-def append_load_record(record: dict, records_dir: Path = DEFAULT_RECORDS_DIR) -> Path:
-    """Append *record* to today's LOAD_<date>.json (creating it)."""
-    records_dir.mkdir(parents=True, exist_ok=True)
-    path = records_dir / f"LOAD_{record['date']}.json"
-    existing: list[dict] = []
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            existing = data if isinstance(data, list) else [data]
-        except (OSError, json.JSONDecodeError):
-            existing = []
-    existing.append(record)
-    path.write_text(json.dumps(existing, indent=2) + "\n")
-    return path
-
-
-def read_load_records(records_dir: Path = DEFAULT_RECORDS_DIR) -> list[dict]:
-    """Every committed LOAD record, oldest file first (append order kept).
-
-    The legacy reader the ``load --check`` baseline lookup and the store
-    migration share — old ``LOAD_<date>.json`` blobs keep working even
-    though new history also lands in ``repro.store``.
-    """
-    records: list[dict] = []
-    if not records_dir.is_dir():
-        return records
-    for path in sorted(records_dir.glob("LOAD_*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if isinstance(data, list):
-            records.extend(r for r in data if isinstance(r, dict))
-        elif isinstance(data, dict):
-            records.append(data)
-    return records
-
-
 def horizon_seconds(result: LoadResult) -> float:
     """Virtual seconds one sweep point spans (for context in docs/tests)."""
     return result.spec.arrival.n_events / result.base_rate if result.base_rate else 0.0
 
 
 __all__ = [
-    "DEFAULT_RECORDS_DIR",
-    "append_load_record",
     "chaos_row",
     "load_record",
     "per_op_rows",
-    "read_load_records",
     "render_load_report",
     "render_saturation_curve",
     "saturation_rows",

@@ -86,7 +86,9 @@ class LockManager:
         self.n_buckets = n_buckets
         self._region = space.region(f"locktab:{name}", n_buckets * _LOCK_HEAD_BYTES)
         self._table: dict[object, _LockEntry] = {}
-        self._held_by_txn: dict[int, set] = {}
+        # Insertion-ordered (a dict used as a set) so release_all touches
+        # lock heads in acquisition order, independent of PYTHONHASHSEED.
+        self._held_by_txn: dict[int, dict] = {}
         self.acquisitions = 0
         self.conflicts = 0
 
@@ -133,13 +135,13 @@ class LockManager:
                 obs.inc("lock.conflicts", manager=self.name)
                 raise LockConflict(resource, other_txn, txn_id)
         entry.holders[txn_id] = _stronger(held, mode) if held else mode
-        self._held_by_txn.setdefault(txn_id, set()).add(resource)
+        self._held_by_txn.setdefault(txn_id, {})[resource] = None
         self.acquisitions += 1
         obs.inc("lock.acquisitions", manager=self.name)
 
     def release_all(self, txn_id: int, trace: AccessTrace | None = None, mod: int = 0) -> int:
         """Release every lock held by *txn_id* (commit/abort); returns count."""
-        resources = self._held_by_txn.pop(txn_id, set())
+        resources = self._held_by_txn.pop(txn_id, {})
         for resource in resources:
             self._emit(resource, trace, mod)
             entry = self._table.get(resource)

@@ -38,7 +38,6 @@ from repro.store.compare import (
 )
 from repro.store.fingerprint import VOLATILE_KEYS, canonical, fingerprint
 from repro.store.fsdb import DEFAULT_STORE_DIR, RunStore
-from repro.store.migrate import migrate_records
 from repro.store.schema import (
     BENCH,
     CHAOS,
@@ -80,7 +79,6 @@ __all__ = [
     "fingerprint",
     "load_run",
     "metric_history",
-    "migrate_records",
     "render_diff",
     "render_history",
     "summarize",

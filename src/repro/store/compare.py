@@ -447,7 +447,7 @@ _LOAD_BASELINE_KEYS = (
     "ack", "fault_rate", "seed",
     # Chaos sweeps only compare against baselines with the identical
     # fault schedule and resilience policy; classic runs carry None for
-    # both, which `.get()` also yields for legacy records that predate
+    # both, which `.get()` also yields for stored runs that predate
     # the keys — old baselines keep matching.
     "chaos", "resilience",
 )
@@ -464,8 +464,8 @@ def find_load_baseline(
     comparison-relevant field (same virtual experiment, so latencies are
     directly comparable).
 
-    Tolerant of legacy/malformed candidates: a record whose spec is not
-    a dict (hand-edited store files, pre-schema blobs) is skipped, not
+    Tolerant of old or malformed candidates: a record whose spec is not
+    a dict (hand-edited store files) is skipped, not
     fatal — the gate must never crash on old history.
     """
     key = _load_spec_key(fresh_spec)

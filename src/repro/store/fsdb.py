@@ -14,7 +14,9 @@ Layout (under ``benchmarks/store/`` by default)::
 Run ids are ``<kind>-<date>-<seq>``: sortable, human-readable, unique
 per store.  ``put`` never overwrites an existing run and there is no
 delete — the store is the repository's append-only measurement
-history.  Everything is plain JSON so runs diff cleanly in git and any
+history, and the only one: ``perf`` and ``load`` write their records
+nowhere else, and their ``--check`` gates read baselines from here.
+Everything is plain JSON so runs diff cleanly in git and any
 tool can read them without this package.
 """
 
@@ -152,11 +154,3 @@ class RunStore:
         if not meta_path.exists():
             raise KeyError(f"no run {run_id!r} in {self.root}")
         return _load(meta_path)
-
-    def has_fingerprint(self, kind: str, created: str, fp: str) -> bool:
-        """Dedup key for idempotent migration: same kind + origin
-        timestamp + content fingerprint means the run is already here."""
-        for meta in self.list_runs(kind):
-            if meta.get("created") == created and meta.get("fingerprint") == fp:
-                return True
-        return False

@@ -15,10 +15,9 @@ was asked for), ``provenance`` (who/where produced it), ``payload``
 computed over kind + spec + payload + verdicts + metrics with volatile
 fields excluded (see :mod:`repro.store.fingerprint`).
 
-Converters from the existing producers' dict shapes (``BENCH_*.json``
-records, ``LOAD_*.json`` records, chaos suite cells, figure panels)
-live here so every write path and the migration tool agree on one
-layout.
+Converters from the producers' dict shapes (the ``perf`` record, the
+``load`` record, chaos suite cells, figure panels) live here so every
+write path agrees on one layout.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class RunRecord:
 
 
 def bench_run(record: dict) -> RunRecord:
-    """A ``bench`` run from one ``BENCH_<date>.json`` record dict."""
+    """A ``bench`` run from one :func:`repro.bench.perf.collect_record` dict."""
     spec = {
         "quick": record.get("quick", False),
         "figures": list(record.get("figure_sweep", {}).get("figures", [])),
@@ -95,7 +94,7 @@ def bench_run(record: dict) -> RunRecord:
 
 
 def load_run(record: dict) -> RunRecord:
-    """A ``load`` run from one ``LOAD_<date>.json`` record dict.
+    """A ``load`` run from one :func:`repro.load.report.load_record` dict.
 
     Chaos sweeps (points carrying a ``chaos`` block) lift their
     degraded-mode verdicts into ``RunRecord.verdicts`` so the store's

@@ -24,7 +24,7 @@ initialising — can use them:
 """
 
 from repro.util.backoff import capped_backoff, jittered_backoff
-from repro.util.clock import perf_timer, perf_timer_ns, today, timestamp, wall_timer
+from repro.util.clock import perf_timer, perf_timer_ns, timestamp, wall_timer
 from repro.util.rng import child_rng, root_rng
 from repro.util.stablehash import stable_hash
 
@@ -37,6 +37,5 @@ __all__ = [
     "root_rng",
     "stable_hash",
     "timestamp",
-    "today",
     "wall_timer",
 ]

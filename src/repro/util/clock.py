@@ -5,7 +5,7 @@ reads anywhere in a sim path are a determinism bug, and
 ``repro-lint``'s *wall-clock* rule flags every ``time.*`` /
 ``datetime.now`` reference outside this module.  Code with a
 legitimate need — display timing on the CLI, the perf harness timing
-itself, the tracer's monotonic clock, dated perf records — imports the
+itself, the tracer's monotonic clock, timestamped run records — imports the
 helper that names its purpose:
 
 * :func:`wall_timer` — wall-clock seconds for *display* timing (how
@@ -13,8 +13,8 @@ helper that names its purpose:
 * :func:`perf_timer` / :func:`perf_timer_ns` — monotonic
   self-measurement (the perf suite measuring the simulator, the span
   tracer's timestamps).  Timing the simulator is not simulating.
-* :func:`today` / :func:`timestamp` — dates for ``BENCH_<date>.json``
-  record naming and provenance.
+* :func:`timestamp` — the ``created`` time of a stored run (its run id
+  carries the date part).
 
 The helpers are trivial on purpose: the value of the module is the
 chokepoint, not the code.  Grep for callers to audit every place the
@@ -41,11 +41,6 @@ def perf_timer_ns() -> int:
     return time.perf_counter_ns()
 
 
-def today() -> str:
-    """Local date as ``YYYY-MM-DD`` (perf record file naming)."""
-    return time.strftime("%Y-%m-%d")
-
-
 def timestamp() -> str:
-    """Local time as ``YYYY-MM-DDTHH:MM:SS`` (perf record provenance)."""
+    """Local time as ``YYYY-MM-DDTHH:MM:SS`` (stored-run provenance)."""
     return time.strftime("%Y-%m-%dT%H:%M:%S")

@@ -12,7 +12,6 @@ import pytest
 from repro.lint.callgraph import build_project
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import LintConfig
-from repro.lint.locks import LEAK_RULE, ORDER_RULE, LockOrderPass
 from repro.lint.passes import default_passes, pass_names, run_passes, select_passes
 from repro.lint.sarif import FINGERPRINT_KEY, to_sarif
 from repro.lint.streams import (
@@ -43,8 +42,8 @@ def pass_findings(fixture: str, pass_name: str | None = None):
 
 
 class TestPassCatalogue:
-    def test_four_passes_registered(self):
-        assert pass_names() == ["taint", "locks", "units", "streams"]
+    def test_three_passes_registered(self):
+        assert pass_names() == ["taint", "units", "streams"]
 
     def test_select_unknown_pass_raises(self):
         with pytest.raises(ValueError, match="unknown pass"):
@@ -56,9 +55,8 @@ class TestFixtureCorpus:
         "fixture,pass_name,rules",
         [
             ("taint_launder_bad.py", "taint", {"taint-flow"}),
-            ("lock_cycle_bad.py", "locks", {ORDER_RULE, LEAK_RULE}),
-            ("units_bad.py", "units", {"unit-mismatch"}),
             ("stream_dup_bad.py", "streams", {"stream-purpose", "stream-scope"}),
+            ("units_bad.py", "units", {"unit-mismatch"}),
         ],
     )
     def test_bad_fixture_trips_its_pass(self, fixture, pass_name, rules):
@@ -70,7 +68,6 @@ class TestFixtureCorpus:
         "fixture",
         [
             "taint_launder_good.py",
-            "lock_cycle_good.py",
             "units_good.py",
             "stream_dup_good.py",
         ],
@@ -87,12 +84,6 @@ class TestFixtureCorpus:
         messages = " / ".join(f.message for f in findings)
         assert "attribute store" in messages
         assert "_commit" in messages
-
-    def test_planted_deadlock_reports_the_cycle(self):
-        findings = pass_findings("lock_cycle_bad.py", "locks")
-        cycles = [f for f in findings if f.rule == ORDER_RULE]
-        assert len(cycles) == 1  # one canonical report per cycle
-        assert "row" in cycles[0].message and "table" in cycles[0].message
 
     def test_pragma_suppresses_pass_findings(self, tmp_path):
         bad = "def f(a_ns, b_ticks):\n    return a_ns + b_ticks\n"
@@ -302,13 +293,6 @@ class TestPassNoiseControl:
     def test_clock_module_itself_is_clean_under_taint(self):
         findings = run_passes(
             [SRC / "repro" / "util" / "clock.py"], [TaintPass()], LintConfig()
-        )
-        assert findings == [], [f.render() for f in findings]
-
-    def test_lock_manager_and_engines_are_clean_under_locks(self):
-        findings = run_passes(
-            [SRC / "repro" / "storage", SRC / "repro" / "engines"],
-            [LockOrderPass()], LintConfig(),
         )
         assert findings == [], [f.render() for f in findings]
 

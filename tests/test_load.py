@@ -9,8 +9,6 @@ negative, and offered load beyond capacity must saturate instead of
 reporting impossible throughput.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +25,6 @@ from repro.load import (
 )
 from repro.load.driver import probe_capacity, run_load_point
 from repro.load.report import (
-    append_load_record,
     load_record,
     per_op_rows,
     render_load_report,
@@ -389,17 +386,11 @@ class TestLoadReport:
         assert "saturation curve" in text
         assert "offered" in text and "achieved" in text
 
-    def test_record_roundtrip(self, tmp_path):
+    def test_record_roundtrip(self):
         result = run_load(quick_spec(multipliers=(1.0,)))
         record = load_record(result)
         assert record["points"] == saturation_rows(result)
         assert record["spec"]["clients"] == 1000
-        path = append_load_record(record, tmp_path)
-        assert path.name.startswith("LOAD_")
-        data = json.loads(path.read_text())
-        assert isinstance(data, list) and len(data) == 1
-        append_load_record(record, tmp_path)
-        assert len(json.loads(path.read_text())) == 2
 
     def test_per_op_breakdown_partitions_latencies(self):
         point = run_load(quick_spec(multipliers=(1.0,))).points[0]
@@ -452,12 +443,12 @@ class TestLoadReport:
 
     def test_report_carries_no_wall_clock(self):
         # The stdout report must be byte-diffable across runs: anything
-        # timestamp-shaped lives only in the LOAD record.
+        # timestamp-shaped lives only in the stored load record.
         result = run_load(quick_spec(multipliers=(1.0,)))
         text = render_load_report(result)
         record = load_record(result)
         assert record["timestamp"] not in text
-        assert record["date"] not in text
+        assert record["timestamp"][:10] not in text
 
 
 class TestCliValidation:
@@ -504,7 +495,7 @@ class TestCliValidation:
     def test_good_arguments_do_not_trip_validation(self, capsys, monkeypatch, tmp_path):
         from repro.bench.cli import main
 
-        monkeypatch.chdir(tmp_path)  # LOAD record lands in a sandbox
+        monkeypatch.chdir(tmp_path)  # any stored run lands in a sandbox
         code = main(
             ["load", "--clients", "100", "--events", "40",
              "--multipliers", "1", "--no-save"]

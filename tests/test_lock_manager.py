@@ -1,4 +1,10 @@
-"""Lock-manager tests: the 2PL compatibility lattice and no-wait conflicts."""
+"""Lock-manager tests: the 2PL compatibility lattice, no-wait conflicts,
+and release order independent of the interpreter's hash seed."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +98,19 @@ class TestRelease:
     def test_release_with_no_locks(self):
         assert make().release_all(9) == 0
 
+    def test_release_order_is_acquisition_order(self):
+        lm = make()
+        resources = [("table", "t")] + [("row", "t", k) for k in (9, 3, 7, 1, 5, 8, 2)]
+        acquired = AccessTrace()
+        for resource in resources:
+            lm.acquire(1, resource, LockMode.S, acquired)
+        lm.acquire(1, resources[0], LockMode.X, acquired)  # upgrade: no new entry
+        released = AccessTrace()
+        assert lm.release_all(1, released) == len(resources)
+        # Each acquire and release touches one lock-head line (load + store).
+        first_touch = list(dict.fromkeys(acquired.addrs))
+        assert list(dict.fromkeys(released.addrs)) == first_touch
+
 
 class TestEmission:
     def test_acquire_emits_lock_table_rmw(self):
@@ -108,3 +127,35 @@ class TestEmission:
         lm.release_all(1)
         lm.acquire(2, "r", LockMode.S, t2)
         assert t1.addrs == t2.addrs
+
+
+# One fig-tpcb-4core cell (shore-mt, 4 cores, 3 repetitions): its commits
+# release many locks at once, so a hash-ordered release would move the
+# lock-head touches and with them the dTLB walk count.
+_MULTICORE_CELL = """
+from dataclasses import asdict
+from repro.bench.figures.common import (
+    MULTITHREADED_CORES, TPC_DB_BYTES, cell_spec, engine_config_for,
+)
+from repro.bench.parallel import workload_spec
+from repro.bench.runner import ExperimentRunner
+
+config = engine_config_for("shore-mt", "tpcb")
+spec = cell_spec("shore-mt", engine_config=config, n_cores=MULTITHREADED_CORES)
+result = ExperimentRunner(spec, workload_spec("tpcb", db_bytes=TPC_DB_BYTES)).run(jobs=1)
+print(sorted(asdict(result.counters).items()))
+print(sorted(result.module_cycles.items()), result.measured_txns)
+"""
+
+
+def _run_cell(hashseed: str) -> str:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hashseed)
+    return subprocess.run(
+        [sys.executable, "-c", _MULTICORE_CELL],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_multicore_cell_is_independent_of_hash_seed():
+    assert _run_cell("0") == _run_cell("7")

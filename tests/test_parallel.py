@@ -217,15 +217,12 @@ class TestCLISubcommands:
     def test_perf_quick_writes_record(self, tmp_path, capsys):
         from repro.bench.cli import main
 
-        records_dir = tmp_path / "records"
-        assert main(["perf", "--quick", "--records-dir", str(records_dir)]) == 0
+        store_dir = tmp_path / "store"
+        assert main(["perf", "--quick", "--store-dir", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "events/sec" in out
-        records = list(records_dir.glob("BENCH_*.json"))
-        assert len(records) == 1
-        # The store run rides beside the redirected records dir — never
-        # in the repo's benchmarks/store/.
-        assert list((tmp_path / "store").glob("bench-*/meta.json"))
+        assert "store      : bench-" in out
+        assert len(list(store_dir.glob("bench-*/meta.json"))) == 1
 
     def test_jobs_flag_accepted_for_figures(self, capsys):
         from repro.bench.cli import main

@@ -1,16 +1,16 @@
 """The ``repro-bench perf --check`` gate compares like with like.
 
-A prior record is a baseline only if it was taken with the same
-``quick`` flag on a host with the same Python, implementation, CPU
-count and platform.  The fresh measurement is planted, so these tests
-exercise the gate without timing anything.
+A prior ``bench`` run in the store is a baseline only if it was taken
+with the same ``quick`` flag on a host with the same Python,
+implementation, CPU count and platform.  The prior runs and the fresh
+measurement are planted, so these tests exercise the gate without
+timing anything.
 """
-
-import json
 
 import pytest
 
 from repro.bench import perf
+from repro.store import RunStore, bench_run
 
 HOST = {
     "git_sha": "a" * 40,
@@ -23,7 +23,7 @@ HOST = {
 
 def record(events_per_sec: float, *, quick: bool = True, **provenance) -> dict:
     return {
-        "date": "2026-01-01",
+        "timestamp": "2026-01-01T00:00:00",
         "quick": quick,
         "provenance": {**HOST, **provenance},
         "replay": {"events_per_sec": events_per_sec, "events_per_round": 1, "rounds": 1},
@@ -34,12 +34,14 @@ def record(events_per_sec: float, *, quick: bool = True, **provenance) -> dict:
 
 @pytest.fixture
 def gate(tmp_path, monkeypatch):
-    """Run ``perf --check`` over planted prior records and a planted run."""
+    """Run ``perf --check`` over planted prior store runs and a planted run."""
 
     def run(prior: list[dict], fresh: dict) -> tuple[str, bool]:
-        (tmp_path / "BENCH_2026-01-01.json").write_text(json.dumps(prior))
+        store = RunStore(tmp_path)
+        for r in prior:
+            store.put(bench_run(r))
         monkeypatch.setattr(perf, "collect_record", lambda quick, jobs: fresh)
-        return perf.run_perf(quick=fresh["quick"], records_dir=tmp_path, check=True, save=False)
+        return perf.run_perf(quick=fresh["quick"], check=True, save=False, store_dir=tmp_path)
 
     return run
 
@@ -64,13 +66,16 @@ def test_quick_flag_must_match(gate):
 
 
 def test_baseline_is_best_comparable_record():
-    records = [
-        record(3e6),
-        record(9e6, python="3.10.0"),
-        record(8e6, implementation="PyPy"),
-        record(7e6, quick=False),
-        {"quick": True, "replay": {"events_per_sec": 6e6}},  # no provenance
-        record(4e6, git_sha=None),
+    runs = [
+        bench_run(r)
+        for r in [
+            record(3e6),
+            record(9e6, python="3.10.0"),
+            record(8e6, implementation="PyPy"),
+            record(7e6, quick=False),
+            {"quick": True, "replay": {"events_per_sec": 6e6}},  # no provenance
+            record(4e6, git_sha=None),
+        ]
     ]
-    assert perf.baseline_events_per_sec(records, quick=True, host=HOST) == 4e6
-    assert perf.baseline_events_per_sec(records[1:3], quick=True, host=HOST) is None
+    assert perf.baseline_events_per_sec(runs, quick=True, host=HOST) == 4e6
+    assert perf.baseline_events_per_sec(runs[1:3], quick=True, host=HOST) is None

@@ -1,4 +1,4 @@
-"""Run-store tests: fingerprints, round-trips, diffs, migration, API.
+"""Run-store tests: fingerprints, round-trips, diffs, gates, API.
 
 The store's core promise is the fingerprint contract: two same-seed
 runs fingerprint identically no matter the execution plan (serial vs
@@ -13,14 +13,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.load import ArrivalSpec, LoadSpec, run_load
-from repro.load.report import load_record, read_load_records
+from repro.load.report import load_record
 from repro.store import (
-    BENCH,
     CHAOS,
     LOAD,
     P999_REGRESSION_TOLERANCE,
@@ -35,7 +35,6 @@ from repro.store import (
     fingerprint,
     load_run,
     metric_history,
-    migrate_records,
     render_diff,
     render_history,
 )
@@ -56,9 +55,8 @@ def tiny_load_spec(**kw) -> LoadSpec:
 
 
 def bench_record(events_per_sec=1_000_000.0, txns_per_sec=20_000.0, ts="2026-08-01T00:00:00"):
-    """A synthetic legacy BENCH record (the shape perf.py appends)."""
+    """A synthetic perf record (the shape ``perf.collect_record`` builds)."""
     return {
-        "date": ts[:10],
         "timestamp": ts,
         "quick": True,
         "provenance": {"git_sha": "deadbeef", "python": "3.12.0"},
@@ -75,7 +73,6 @@ def bench_record(events_per_sec=1_000_000.0, txns_per_sec=20_000.0, ts="2026-08-
 
 def synthetic_load_record(p999=1000.0, ts="2026-08-01T00:00:00", seed=42):
     return {
-        "date": ts[:10],
         "timestamp": ts,
         "provenance": {"git_sha": "deadbeef"},
         "spec": {
@@ -207,16 +204,6 @@ class TestRunStore:
     def test_list_runs_unknown_kind_raises(self, tmp_path):
         with pytest.raises(KeyError, match="unknown run kind"):
             RunStore(tmp_path).list_runs("vibes")
-
-    def test_has_fingerprint_dedup_key(self, tmp_path):
-        store = RunStore(tmp_path)
-        record = load_run(synthetic_load_record())
-        store.put(record)
-        assert store.has_fingerprint(LOAD, record.created, record.fingerprint())
-        assert not store.has_fingerprint(
-            LOAD, "2030-01-01T00:00:00", record.fingerprint()
-        )
-        assert not store.has_fingerprint(BENCH, record.created, record.fingerprint())
 
 
 class TestSameSeedFingerprints:
@@ -377,47 +364,6 @@ class TestMetricHistory:
         assert metric_history(store, "chaos_ok") [0][1] == 1.0
 
 
-class TestMigration:
-    def _records_dir(self, tmp_path):
-        records_dir = tmp_path / "records"
-        records_dir.mkdir()
-        (records_dir / "BENCH_2026-08-01.json").write_text(
-            json.dumps([bench_record(ts="2026-08-01T00:00:00"),
-                        bench_record(ts="2026-08-01T01:00:00")])
-        )
-        (records_dir / "LOAD_2026-08-01.json").write_text(
-            json.dumps([synthetic_load_record(ts="2026-08-01T02:00:00")])
-        )
-        return records_dir
-
-    def test_migrates_every_legacy_entry(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        migrated, skipped = migrate_records(self._records_dir(tmp_path), store)
-        assert len(migrated) == 3 and skipped == 0
-        assert len(store.list_runs(BENCH)) == 2
-        assert len(store.list_runs(LOAD)) == 1
-
-    def test_migration_is_idempotent(self, tmp_path):
-        records_dir = self._records_dir(tmp_path)
-        store = RunStore(tmp_path / "store")
-        migrate_records(records_dir, store)
-        migrated, skipped = migrate_records(records_dir, store)
-        assert migrated == [] and skipped == 3
-
-    def test_legacy_readers_still_work(self, tmp_path):
-        records_dir = self._records_dir(tmp_path)
-        migrate_records(records_dir, RunStore(tmp_path / "store"))
-        # The old blobs are untouched and the legacy reader still sees them.
-        assert len(read_load_records(records_dir)) == 1
-        assert (records_dir / "LOAD_2026-08-01.json").exists()
-
-    def test_committed_repo_records_migrate_cleanly(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        migrated, _ = migrate_records(REPO_ROOT / "benchmarks" / "records", store)
-        assert len(migrated) >= 2  # the repo ships BENCH and LOAD history
-        assert store.list_runs(LOAD)  # the load baseline is queryable
-
-
 class TestHttpApi:
     @pytest.fixture()
     def server(self, tmp_path):
@@ -504,18 +450,8 @@ class TestCli:
 
         return main(argv)
 
-    def test_store_migrate_and_list(self, tmp_path, capsys):
-        records_dir = tmp_path / "records"
-        records_dir.mkdir()
-        (records_dir / "LOAD_2026-08-01.json").write_text(
-            json.dumps([synthetic_load_record()])
-        )
-        code = self._main(
-            ["store", "migrate", "--records-dir", str(records_dir),
-             "--store-dir", str(tmp_path / "store")]
-        )
-        assert code == 0
-        assert "migrated 1 legacy record(s)" in capsys.readouterr().out
+    def test_store_list(self, tmp_path, capsys):
+        RunStore(tmp_path / "store").put(load_run(synthetic_load_record()))
         code = self._main(["store", "list", "--store-dir", str(tmp_path / "store")])
         assert code == 0
         out = capsys.readouterr().out
@@ -542,7 +478,6 @@ class TestCli:
     def test_load_check_gate_end_to_end(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         args = ["load", "--clients", "200", "--events", "40", "--multipliers", "1",
-                "--records-dir", str(tmp_path / "recs"),
                 "--store-dir", str(tmp_path / "store")]
         # First run has nothing to gate against: loud exit 2, but the
         # run is still recorded so it becomes the next check's baseline.
@@ -555,3 +490,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fingerprints identical" in out
         assert "gate: p999 within" in out
+
+    def test_load_check_fails_on_planted_p999_regression(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        args = ["load", "--clients", "200", "--events", "40", "--multipliers", "1",
+                "--store-dir", str(store_dir)]
+        assert self._main(args) == 0
+        capsys.readouterr()
+        store = RunStore(store_dir)
+        (run_id,) = store.run_ids()
+        recorded = store.get(run_id)
+        # A later baseline with the same spec whose p999 is half of what
+        # this build measures: the fresh run is a 2x p999 regression.
+        points = [{**p, "p999_us": p["p999_us"] / 2} for p in recorded.payload["points"]]
+        store.put(
+            replace(
+                recorded,
+                payload={**recorded.payload, "points": points},
+                created="2999-01-01T00:00:00",
+            )
+        )
+        assert self._main(args + ["--check", "--no-save"]) == 1
+        out = capsys.readouterr().out
+        assert "load check vs load-2999-01-01-001" in out
+        assert "GATE FAILED" in out
+        assert len(store.run_ids()) == 2  # --no-save recorded nothing
