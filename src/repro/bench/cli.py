@@ -55,7 +55,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_jobs(jobs: int) -> int:
     if jobs == 0:
-        from repro.bench.parallel import default_jobs
+        from repro.util.fanout import default_jobs
 
         return default_jobs()
     return max(1, jobs)
@@ -171,6 +171,14 @@ def _chaos_main(argv: list[str]) -> int:
         parser.error(f"--crashes must be >= 0 (got {args.crashes})")
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (got {args.jobs})")
+    # Reject options the chosen suite would silently ignore.
+    if args.shards is not None and (
+        args.workloads or args.quick or len(args.systems or ()) > 1
+    ):
+        parser.error("--shards runs TPC-C on one system: drop --workloads, "
+                     "--quick and extra --systems")
+    if args.shards is None and args.seeds > 1:
+        parser.error("--seeds sweeps the sharded suite; it needs --shards")
 
     from contextlib import nullcontext
 
@@ -250,8 +258,8 @@ def _validate_main(argv: list[str]) -> int:
     _add_jobs_argument(parser)
     args = parser.parse_args(argv)
 
-    from repro.bench.parallel import using_jobs
     from repro.bench.validate import render_checks, validate_all
+    from repro.util.fanout import using_jobs
 
     with using_jobs(_resolve_jobs(args.jobs)):
         checks = validate_all(quick=args.quick)
@@ -591,13 +599,13 @@ def _trace_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro import obs
-    from repro.bench.parallel import using_jobs
     from repro.obs.exporters import (
         validate_chrome_trace,
         write_chrome_trace,
         write_jsonl,
         write_prometheus,
     )
+    from repro.util.fanout import using_jobs
 
     with obs.using_obs(True):
         with using_jobs(_resolve_jobs(args.jobs)):

@@ -26,10 +26,10 @@ def run_figure(figure_id: str, quick: bool = False, jobs: int | None = None):
     """Run one figure; returns a list of FigureResult (or a string for table1).
 
     *jobs* > 1 fans the figure's independent cells/repetitions out over
-    a process pool (see :mod:`repro.bench.parallel`); output is
+    a process pool (see :mod:`repro.util.fanout`); output is
     bit-identical to the serial default.
     """
-    from repro.bench.parallel import using_jobs
+    from repro.util.fanout import using_jobs
 
     with using_jobs(jobs):
         return load(figure_id).run(quick=quick)

@@ -1,17 +1,17 @@
-"""Process-pool fan-out for experiment cells and repetitions.
+"""Experiment cells and repetitions as picklable fan-out tasks.
 
 The paper's methodology is embarrassingly parallel: every figure is a
 grid of independent cells (system x workload x configuration), each
-repeated with fresh seeds.  This module fans that grid out across
-cores with a :class:`~concurrent.futures.ProcessPoolExecutor` while
-keeping the results **bit-identical** to the serial path:
+repeated with fresh seeds.  :func:`run_cells` flattens that grid into
+*(cell, repetition)* tasks and hands them to
+:func:`repro.util.fanout.ordered_map`, keeping the results
+**bit-identical** to the serial path:
 
-* the unit of work is one *(cell, repetition)* pair, executed by the
-  same :func:`repro.bench.runner.run_repetition` function the serial
-  path calls;
+* each task runs the same :func:`repro.bench.runner.run_repetition`
+  function the serial path calls;
 * each repetition's seed comes from :meth:`RunSpec.rep_seed`, so the
   seed a repetition sees does not depend on which worker runs it;
-* results are collected in submission order and folded with
+* results come back in submission order and are folded with
   :func:`repro.bench.runner.aggregate_repetitions`, so floating-point
   summation order matches the serial path exactly.
 
@@ -19,21 +19,15 @@ Workloads cross process boundaries as :class:`WorkloadSpec` descriptors
 — a picklable ``(kind, params)`` pair that builds the workload inside
 the worker — because the closures the figure modules historically used
 cannot be pickled.  A ``WorkloadSpec`` is itself callable, so it drops
-into every API that expects a zero-argument workload factory.
-
-``--jobs N`` on the CLI installs an ambient jobs setting via
-:func:`using_jobs`; code that cannot prove its tasks are picklable
-silently falls back to serial execution, never to an error.
+into every API that expects a zero-argument workload factory.  Cells
+whose factory cannot be pickled run serially, never with an error.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 from repro import obs
 from repro.bench.runner import (
@@ -42,6 +36,7 @@ from repro.bench.runner import (
     aggregate_repetitions,
     run_repetition,
 )
+from repro.util.fanout import ordered_map
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.tpcb import TPCB
 from repro.workloads.tpcc import TPCC
@@ -89,33 +84,6 @@ class CellTask:
     workload: Any  # WorkloadSpec or any zero-argument factory
 
 
-# -- ambient jobs setting ----------------------------------------------------
-
-_JOBS = 1
-
-
-def default_jobs() -> int:
-    """One worker per core, the ``--jobs 0`` meaning."""
-    return os.cpu_count() or 1
-
-
-def get_jobs() -> int:
-    """The ambient fan-out width (1 = serial, the default)."""
-    return _JOBS
-
-
-@contextmanager
-def using_jobs(jobs: int | None) -> Iterator[int]:
-    """Install an ambient jobs setting for the duration of the block."""
-    global _JOBS
-    previous = _JOBS
-    _JOBS = max(1, jobs if jobs else 1)
-    try:
-        yield _JOBS
-    finally:
-        _JOBS = previous
-
-
 # -- execution ---------------------------------------------------------------
 
 
@@ -152,7 +120,6 @@ def run_cells(cells: Sequence[CellTask], jobs: int | None = None) -> list[RunRes
     picklable) everything runs serially in this process.  Both paths
     produce bit-identical :class:`RunResult` values.
     """
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
     obs_on = obs.enabled()
     tasks: list[tuple[RunSpec, Any, int, bool]] = []
     rep_slices: list[tuple[int, int]] = []
@@ -162,31 +129,10 @@ def run_cells(cells: Sequence[CellTask], jobs: int | None = None) -> list[RunRes
             tasks.append((cell.spec, cell.workload, cell.spec.rep_seed(rep), obs_on))
         rep_slices.append((start, len(tasks)))
 
-    parallel = (
-        n_jobs > 1
-        and len(tasks) > 1
-        and all(_picklable(cell.workload) for cell in cells)
-    )
-    if parallel:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            rep_results = list(pool.map(_run_rep, tasks, chunksize=1))
-    else:
-        rep_results = [_run_rep(task) for task in tasks]
-
+    if not all(_picklable(cell.workload) for cell in cells):
+        jobs = 1
+    rep_results = ordered_map(_run_rep, tasks, jobs, label="run_cells")
     return [
         aggregate_repetitions(cell.spec, rep_results[start:stop])
         for cell, (start, stop) in zip(cells, rep_slices)
     ]
-
-
-def map_repetitions(
-    spec: RunSpec, workload_factory, jobs: int | None = None
-) -> list[RunResult]:
-    """All repetitions of one cell, in seed order (parallel when asked)."""
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
-    seeds = [spec.rep_seed(rep) for rep in range(spec.repetitions)]
-    if n_jobs > 1 and len(seeds) > 1 and _picklable(workload_factory):
-        tasks = [(spec, workload_factory, seed, obs.enabled()) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            return list(pool.map(_run_rep, tasks, chunksize=1))
-    return [run_repetition(spec, workload_factory, seed) for seed in seeds]

@@ -358,13 +358,6 @@ class ExperimentRunner:
         :mod:`repro.bench.parallel`); results are bit-identical to the
         serial path.  ``None`` means the ambient jobs setting.
         """
-        spec = self.spec
-        from repro.bench.parallel import map_repetitions
+        from repro.bench.parallel import CellTask, run_cells
 
-        rep_results = map_repetitions(spec, self.workload_factory, jobs=jobs)
-        return aggregate_repetitions(spec, rep_results)
-
-    # -- single repetition ----------------------------------------------------
-
-    def _run_once(self, seed: int) -> RunResult:
-        return run_repetition(self.spec, self.workload_factory, seed)
+        return run_cells([CellTask(self.spec, self.workload_factory)], jobs)[0]

@@ -1,5 +1,13 @@
 """Chaos harness: run a workload under a fault schedule and prove recovery.
 
+This is the one chaos harness: the at-hit table, the segment driver
+(:func:`drive_segments`) and the suite routine (:func:`run_suite`)
+serve every protocol.  A protocol supplies a *target* —
+``attach_injector``, ``step(txn_rng) -> committed``, ``checkpoint`` —
+plus its final invariants, result type and report.  Targets: a bare
+engine and a ``ReplicationGroup`` (here) and a sharded cluster
+(:mod:`repro.sharding.chaos`).
+
 :class:`ChaosRunner` is the fault-injection sibling of
 :class:`repro.bench.runner.ExperimentRunner`: instead of measuring, it
 drives any engine × workload while a :class:`FaultInjector` crashes the
@@ -52,12 +60,17 @@ from repro.engines.config import EngineConfig
 from repro.engines.registry import ALL_SYSTEMS, canonical_name, make_engine
 from repro.faults.injector import (
     ABORT,
+    CRASH,
     FaultInjector,
     FaultSpec,
     LOCK_ACQUIRE,
     NET_SEND,
     NETWORK_KINDS,
+    PREPARE_STALL,
     SimulatedCrash,
+    TPC_COORDINATOR,
+    TPC_PARTICIPANT,
+    TPC_PREPARE,
     TXN_BODY,
     WAL_AFTER_APPEND,
     WAL_BEFORE_APPEND,
@@ -73,23 +86,121 @@ from repro.storage.recovery import (
     verify_against_engine,
     write_checkpoint,
 )
+from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng, root_rng
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.tpcc import TPCC
 
-# How early in a segment each point's scheduled crash lands (at_hit is
-# drawn uniformly from the range).  Group commits are rare (one per
-# batch) and txn bodies one per attempt; raw WAL/lock/index hits arrive
-# many per transaction, so a wider range still crashes within a few
-# transactions.
+# How early in a segment each scheduled fault lands (at_hit is drawn
+# uniformly from the range).  Rare points (group commit, txn body, the
+# 2PC points, prepare) get narrow ranges; raw WAL/lock/index hits
+# arrive many per transaction and net.send fires per message, so wider
+# ranges still land the fault within a few transactions.
 _AT_HIT_RANGES = {
     WAL_GROUP_COMMIT: (1, 2),
     TXN_BODY: (1, 5),
+    TPC_COORDINATOR: (1, 4),
+    TPC_PARTICIPANT: (1, 3),
+    TPC_PREPARE: (1, 4),
+    NET_SEND: (1, 40),
 }
 _DEFAULT_AT_HIT_RANGE = (1, 15)
-# net.send fires per message (ships and acks), several per commit, so a
-# wider range still lands a network fault within the segment.
-_NET_AT_HIT_RANGE = (1, 40)
+
+
+def check_ack_and_net_kinds(spec) -> None:
+    """Reject an unknown ack mode or network fault kind on a chaos spec."""
+    if spec.ack not in ACK_MODES:
+        raise ValueError(
+            f"unknown ack mode {spec.ack!r}; known: {', '.join(ACK_MODES)}"
+        )
+    unknown = set(spec.net_kinds or ()) - set(NETWORK_KINDS)
+    if unknown:
+        raise ValueError(
+            f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
+            f"known: {', '.join(NETWORK_KINDS)}"
+        )
+
+
+def _segment_injector(
+    spec, segment: int, crash, streams: dict, abort_probability: float
+) -> FaultInjector:
+    """One segment's faults: crash, abort storm, network fault, stall.
+    Each at-hit draws from its own stream, so enabling one class cannot
+    shift another (replication on or off, same crash schedule)."""
+
+    def at_hit(purpose: str, point: str) -> int:
+        with sanitizer.scope(purpose):
+            return streams[purpose].randint(
+                *_AT_HIT_RANGES.get(point, _DEFAULT_AT_HIT_RANGE)
+            )
+
+    schedule = []
+    if crash is not None:
+        point, kind = crash
+        at = at_hit("fault-schedule", point)
+        schedule.append(FaultSpec(point, kind=kind, at_hit=at))
+    if abort_probability > 0.0:
+        schedule.append(
+            FaultSpec(TXN_BODY, kind=ABORT, probability=abort_probability, times=-1)
+        )
+    if "net" in streams:
+        kinds = spec.net_kinds or NETWORK_KINDS
+        kind, at = kinds[segment % len(kinds)], at_hit("net", NET_SEND)
+        schedule.append(FaultSpec(NET_SEND, kind=kind, at_hit=at))
+    if "stall" in streams:
+        at = at_hit("stall", TPC_PREPARE)
+        schedule.append(FaultSpec(TPC_PREPARE, kind=PREPARE_STALL, at_hit=at))
+    return FaultInjector(schedule, seed=spec.seed * 1000 + segment)
+
+
+def drive_segments(
+    target,
+    spec,
+    crash_pool,
+    *,
+    net: bool,
+    stalls: bool = False,
+    abort_probability: float = 0.0,
+) -> tuple[int, dict[str, int]]:
+    """Drive *target* through ``n_crashes + 1`` equal fault segments.
+
+    *spec* is a :class:`ChaosSpec` or a sharded chaos spec.  Segment
+    *i* < ``n_crashes`` crashes at ``crash_pool[i % len]``, a ``(point,
+    kind)`` pair; the target is checkpointed every
+    ``spec.checkpoint_every`` commits.  Returns (commits, fired faults
+    per kind).
+    """
+    streams = {"fault-schedule": root_rng(spec.seed, "fault-schedule")}
+    if net:
+        streams["net"] = child_rng(spec.seed, "net")
+    if stalls:
+        streams["stall"] = child_rng(spec.seed, "stall")
+    txn_rng = root_rng(spec.seed + 1, "workload")
+    n_crashes = spec.n_crashes if spec.n_crashes is not None else len(crash_pool)
+    segments = n_crashes + 1
+    per_segment = -(-spec.n_txns // segments)
+    injectors: list[FaultInjector] = []
+    committed = 0
+    commits_since_ckpt = 0
+    for segment in range(segments):
+        crash = crash_pool[segment % len(crash_pool)] if segment < n_crashes else None
+        injector = _segment_injector(spec, segment, crash, streams, abort_probability)
+        injectors.append(injector)
+        target.attach_injector(injector)
+        for _ in range(per_segment):
+            if not target.step(txn_rng):
+                continue
+            committed += 1
+            commits_since_ckpt += 1
+            if spec.checkpoint_every and commits_since_ckpt >= spec.checkpoint_every:
+                commits_since_ckpt = 0
+                target.checkpoint()
+    target.attach_injector(None)
+    fired: dict[str, int] = {}
+    for injector in injectors:
+        for fault in injector.fired:
+            fired[fault.kind] = fired.get(fault.kind, 0) + 1
+    return committed, fired
 
 
 @dataclass(frozen=True)
@@ -124,16 +235,7 @@ class ChaosSpec:
     def __post_init__(self) -> None:
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
-        unknown = set(self.net_kinds or ()) - set(NETWORK_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(NETWORK_KINDS)}"
-            )
+        check_ack_and_net_kinds(self)
 
     @classmethod
     def quick(cls, system: str, **overrides) -> "ChaosSpec":
@@ -253,46 +355,6 @@ class ChaosRunner:
             pool.append(LOCK_ACQUIRE)
         return pool
 
-    def _segment_injector(
-        self,
-        pool: list[str],
-        segment: int,
-        armed: bool,
-        fault_rng: random.Random,
-        net_rng: random.Random | None = None,
-    ) -> FaultInjector:
-        """One crash per segment, cycling round-robin over the pool.
-
-        Replicated runs additionally schedule one network fault per
-        segment, cycling over the spec's fault kinds.  Its ``at_hit``
-        draws come from *net_rng* — a child stream separate from
-        *fault_rng* — so the crash schedule stays byte-identical to the
-        replication-off run at the same seed.
-        """
-        schedule = []
-        if armed:
-            point = pool[segment % len(pool)]
-            lo, hi = _AT_HIT_RANGES.get(point, _DEFAULT_AT_HIT_RANGE)
-            with sanitizer.scope("fault-schedule"):
-                at_hit = fault_rng.randint(lo, hi)
-            schedule.append(FaultSpec(point, at_hit=at_hit))
-        if self.spec.abort_probability > 0.0:
-            schedule.append(
-                FaultSpec(
-                    TXN_BODY,
-                    kind=ABORT,
-                    probability=self.spec.abort_probability,
-                    times=-1,
-                )
-            )
-        if net_rng is not None:
-            kinds = self.spec.net_kinds or NETWORK_KINDS
-            kind = kinds[segment % len(kinds)]
-            with sanitizer.scope("net"):
-                net_at_hit = net_rng.randint(*_NET_AT_HIT_RANGE)
-            schedule.append(FaultSpec(NET_SEND, kind=kind, at_hit=net_at_hit))
-        return FaultInjector(schedule, seed=self.spec.seed * 1000 + segment)
-
     def _named_problems(self, state, engine) -> list[str]:
         """Verification + workload invariants, tagged with invariant names."""
         problems = [
@@ -308,86 +370,6 @@ class ChaosRunner:
             return tpcc_invariants(self.workload, engine)
         return []
 
-    # -- crash + recovery ----------------------------------------------------
-
-    def _recover(
-        self,
-        engine,
-        crash: SimulatedCrash,
-        image_rng: random.Random,
-        total: EngineStats,
-        attempted: int,
-    ):
-        """The restart path: torn log -> replay -> restore -> verify."""
-        with obs.span(
-            "chaos.recover", track="chaos", cat="faults",
-            point=crash.point, hit=crash.hit, txn_index=attempted,
-        ) as recover_span:
-            total.merge(engine.stats)
-            with sanitizer.scope("image"):
-                image = engine.recovery_log().crash_image(image_rng)
-            state = replay(image)
-            fresh, fresh_log = self._fresh_engine()
-            restore_engine(state, fresh)
-            problems = self._named_problems(state, fresh)
-            recover_span.set(
-                lost_records=image.lost_records,
-                torn_tail=image.torn_tail,
-                problems=len(problems),
-            )
-            obs.inc("chaos.recoveries", system=self.spec.system)
-        report = CrashReport(
-            txn_index=attempted,
-            point=crash.point,
-            hit=crash.hit,
-            lost_records=image.lost_records,
-            torn_tail=image.torn_tail,
-            truncated_records=state.truncated_records,
-            redo_applied=state.redo_applied,
-            undo_applied=state.undo_applied,
-            checkpoint_lsn=state.checkpoint_lsn,
-            state_digest=state.digest(),
-            problems=problems,
-        )
-        # Seed the new log with the recovered state so the next crash
-        # replays from here; the dead process's in-flight transactions
-        # are gone for good and are not carried forward.
-        state.active_records = []
-        write_checkpoint(fresh_log, state)
-        return fresh, fresh_log, report
-
-    def _failover(
-        self,
-        group: ReplicationGroup,
-        crash: SimulatedCrash,
-        total: EngineStats,
-        attempted: int,
-    ) -> CrashReport:
-        """The replicated restart path: elect, replay the winner, verify."""
-        total.merge(group.engine.stats)
-        state, outcome = group.failover()
-        problems = list(outcome.problems)
-        problems.extend(
-            f"tpcc-consistency: {p}" for p in self._workload_invariants(group.engine)
-        )
-        obs.inc("chaos.failovers", system=self.spec.system)
-        return CrashReport(
-            txn_index=attempted,
-            point=crash.point,
-            hit=crash.hit,
-            lost_records=outcome.lost_records,
-            torn_tail=False,
-            truncated_records=state.truncated_records,
-            redo_applied=state.redo_applied,
-            undo_applied=state.undo_applied,
-            checkpoint_lsn=state.checkpoint_lsn,
-            state_digest=outcome.state_digest,
-            problems=problems,
-            winner_id=outcome.winner_id,
-            winner_lsn=outcome.winner_lsn,
-            epoch=outcome.epoch,
-        )
-
     # -- the run -------------------------------------------------------------
 
     def run(self) -> ChaosResult:
@@ -401,124 +383,199 @@ class ChaosRunner:
 
     def _run(self) -> ChaosResult:
         spec = self.spec
-        fault_rng = root_rng(spec.seed, "fault-schedule")
-        txn_rng = root_rng(spec.seed + 1, "workload")
-        # Crash-image draws (how much of the unflushed tail survives) get
-        # their own child stream: fault_rng is then *only* consumed by
-        # schedule draws, so the crash schedule is byte-identical whether
-        # or not replication is on (failover never tears the winner's log).
-        image_rng = child_rng(spec.seed, "image")
-        replicated = spec.replicas > 0
-        # Network-fault schedules draw from their own child stream so
-        # the crash schedule matches the replication-off run bit-for-bit.
-        net_rng = child_rng(spec.seed, "net") if replicated else None
-        group: ReplicationGroup | None = None
-        if replicated:
-            group = ReplicationGroup(
-                spec.replication_spec(), self._fresh_engine, seed=spec.seed
-            )
-            engine, log = group.engine, group.log
-        else:
-            engine, log = self._fresh_engine()
-        pool = self._point_pool(engine)
-        n_crashes = spec.n_crashes if spec.n_crashes is not None else len(pool)
-        segments = n_crashes + 1
-        per_segment = -(-spec.n_txns // segments)
-        total = EngineStats()
-        crashes: list[CrashReport] = []
-        injectors: list[FaultInjector] = []
-        attempted = 0
-        commits_since_ckpt = 0
-        for segment in range(segments):
-            injector = self._segment_injector(
-                pool, segment, segment < n_crashes, fault_rng, net_rng
-            )
-            injectors.append(injector)
-            if group is not None:
-                group.attach_injector(injector)
-            else:
-                engine.attach_injector(injector)
-            for _ in range(per_segment):
-                with sanitizer.scope("workload"):
-                    procedure, body = self.workload.next_transaction(txn_rng)
-                attempted += 1
-                try:
-                    if group is not None:
-                        group.submit(procedure, body)
-                    else:
-                        engine.execute(procedure, body)
-                except SimulatedCrash as crash:
-                    if group is not None:
-                        report = self._failover(group, crash, total, attempted)
-                        engine, log = group.engine, group.log
-                        group.attach_injector(injector)
-                    else:
-                        engine, log, report = self._recover(
-                            engine, crash, image_rng, total, attempted
-                        )
-                    crashes.append(report)
-                    continue
-                if engine.last_outcome != COMMITTED:
-                    continue
-                commits_since_ckpt += 1
-                if spec.checkpoint_every and commits_since_ckpt >= spec.checkpoint_every:
-                    commits_since_ckpt = 0
-                    try:
-                        take_checkpoint(log, truncate=True)
-                        if group is not None:
-                            group.ship()
-                    except SimulatedCrash as crash:
-                        if group is not None:
-                            report = self._failover(group, crash, total, attempted)
-                            engine, log = group.engine, group.log
-                            group.attach_injector(injector)
-                        else:
-                            engine, log, report = self._recover(
-                                engine, crash, image_rng, total, attempted
-                            )
-                        crashes.append(report)
+        target = _GroupTarget(self) if spec.replicas > 0 else _EngineTarget(self)
+        _, fired = drive_segments(
+            target,
+            spec,
+            [(point, CRASH) for point in self._point_pool(target.engine)],
+            net=spec.replicas > 0,
+            abort_probability=spec.abort_probability,
+        )
         # Clean shutdown: force the log, replay it, and compare the
         # recovered state against the live engine.
-        if group is not None:
-            group.attach_injector(None)
-        else:
-            engine.attach_injector(None)
-        log.force()
-        final_state = replay(log)
+        engine = target.engine
+        target.log.force()
+        final_state = replay(target.log)
         final_problems = self._named_problems(final_state, engine)
-        if group is not None:
-            # Heal any partition, drive replicas to the primary's tip,
-            # and check the cross-node invariants.
-            group.final_sync()
-            final_problems.extend(group.convergence_problems())
-            for txn_id, lsn in sorted(group.acked.items()):
-                status = final_state.txn_status.get(txn_id)
-                if status is not None and status != COMMITTED:
-                    final_problems.append(
-                        f"no-acked-txn-lost: acked txn {txn_id} (lsn {lsn}) "
-                        f"replayed as {status} at shutdown"
-                    )
-        total.merge(engine.stats)
-        net_fired: dict[str, int] = {}
-        for injector in injectors:
-            for fault in injector.fired:
-                if fault.kind in NETWORK_KINDS:
-                    net_fired[fault.kind] = net_fired.get(fault.kind, 0) + 1
+        extra_problems, replication = target.finish(final_state)
+        final_problems.extend(extra_problems)
+        target.total.merge(engine.stats)
         return ChaosResult(
             system=canonical_name(spec.system),
             workload=self.workload.name,
-            attempted=attempted,
-            stats=total,
-            crashes=crashes,
+            attempted=target.attempted,
+            stats=target.total,
+            crashes=target.crashes,
             final_problems=final_problems,
             final_digest=final_state.digest(),
             replicas=spec.replicas,
             ack=spec.ack,
-            acked=group.acked_count if group is not None else 0,
-            unacked=group.unacked_count if group is not None else 0,
-            replica_digests=group.replica_digests() if group is not None else (),
-            net_faults=net_fired,
-            net_counters=dict(group.net.counters) if group is not None else {},
+            net_faults={k: n for k, n in fired.items() if k in NETWORK_KINDS},
+            **replication,
+        )
+
+
+class _EngineTarget:
+    """A bare engine; a crash restarts it through :meth:`_recover`.
+
+    The restarted engine runs the rest of its segment with no injector
+    attached, so an abort storm ends at the first restart; the chaos
+    digests pin this.
+    """
+
+    def __init__(self, runner: ChaosRunner) -> None:
+        self.runner = runner
+        self.total = EngineStats()
+        self.crashes: list[CrashReport] = []
+        self.attempted = 0
+        self._boot()
+
+    def _boot(self) -> None:
+        self.engine, self.log = self.runner._fresh_engine()
+        # Crash-image draws (how much of the unflushed tail survives)
+        # get their own child stream, so the fault-schedule stream is
+        # consumed by schedule draws only.
+        self.image_rng = child_rng(self.runner.spec.seed, "image")
+
+    def attach_injector(self, injector) -> None:
+        self.engine.attach_injector(injector)
+
+    def step(self, txn_rng: random.Random) -> bool:
+        with sanitizer.scope("workload"):
+            procedure, body = self.runner.workload.next_transaction(txn_rng)
+        self.attempted += 1
+        try:
+            self._submit(procedure, body)
+        except SimulatedCrash as crash:
+            self.crashes.append(self._recover(crash))
+            return False
+        return self.engine.last_outcome == COMMITTED
+
+    def checkpoint(self) -> None:
+        try:
+            take_checkpoint(self.log, truncate=True)
+            self._ship()
+        except SimulatedCrash as crash:
+            self.crashes.append(self._recover(crash))
+
+    def _submit(self, procedure: str, body) -> None:
+        self.engine.execute(procedure, body)
+
+    def _ship(self) -> None:
+        pass
+
+    def _recover(self, crash: SimulatedCrash) -> CrashReport:
+        """The restart path: torn log -> replay -> restore -> verify."""
+        runner, engine = self.runner, self.engine
+        with obs.span(
+            "chaos.recover", track="chaos", cat="faults",
+            point=crash.point, hit=crash.hit, txn_index=self.attempted,
+        ) as recover_span:
+            self.total.merge(engine.stats)
+            with sanitizer.scope("image"):
+                image = engine.recovery_log().crash_image(self.image_rng)
+            state = replay(image)
+            self.engine, self.log = runner._fresh_engine()
+            restore_engine(state, self.engine)
+            problems = runner._named_problems(state, self.engine)
+            recover_span.set(
+                lost_records=image.lost_records,
+                torn_tail=image.torn_tail,
+                problems=len(problems),
+            )
+            obs.inc("chaos.recoveries", system=runner.spec.system)
+        report = self._report(
+            crash, state, lost_records=image.lost_records,
+            torn_tail=image.torn_tail, state_digest=state.digest(), problems=problems,
+        )
+        # Seed the new log with the recovered state so the next crash
+        # replays from here; the dead process's in-flight transactions
+        # are gone for good and are not carried forward.
+        state.active_records = []
+        write_checkpoint(self.log, state)
+        return report
+
+    def finish(self, final_state) -> tuple[list[str], dict]:
+        """Extra final problems, and the result's replication fields."""
+        return [], {}
+
+    def _report(self, crash: SimulatedCrash, state, **fields) -> CrashReport:
+        return CrashReport(
+            txn_index=self.attempted,
+            point=crash.point,
+            hit=crash.hit,
+            truncated_records=state.truncated_records,
+            redo_applied=state.redo_applied,
+            undo_applied=state.undo_applied,
+            checkpoint_lsn=state.checkpoint_lsn,
+            **fields,
+        )
+
+
+class _GroupTarget(_EngineTarget):
+    """A :class:`ReplicationGroup`; a primary crash fails over and the
+    new primary gets the segment's injector back."""
+
+    def _boot(self) -> None:
+        spec = self.runner.spec
+        self.group = ReplicationGroup(
+            spec.replication_spec(), self.runner._fresh_engine, seed=spec.seed
+        )
+
+    @property
+    def engine(self):
+        return self.group.engine
+
+    @property
+    def log(self):
+        return self.group.log
+
+    def attach_injector(self, injector) -> None:
+        self.injector = injector
+        self.group.attach_injector(injector)
+
+    def _submit(self, procedure: str, body) -> None:
+        self.group.submit(procedure, body)
+
+    def _ship(self) -> None:
+        self.group.ship()
+
+    def _recover(self, crash: SimulatedCrash) -> CrashReport:
+        """The replicated restart path: elect, replay the winner, verify."""
+        self.total.merge(self.engine.stats)
+        state, outcome = self.group.failover()
+        problems = list(outcome.problems)
+        problems.extend(
+            f"tpcc-consistency: {p}"
+            for p in self.runner._workload_invariants(self.engine)
+        )
+        obs.inc("chaos.failovers", system=self.runner.spec.system)
+        self.group.attach_injector(self.injector)
+        return self._report(
+            crash, state, lost_records=outcome.lost_records, torn_tail=False,
+            state_digest=outcome.state_digest, problems=problems,
+            winner_id=outcome.winner_id, winner_lsn=outcome.winner_lsn,
+            epoch=outcome.epoch,
+        )
+
+    def finish(self, final_state) -> tuple[list[str], dict]:
+        """Heal any partition, drive replicas to the primary's tip, and
+        check the cross-node invariants."""
+        group = self.group
+        group.final_sync()
+        problems = group.convergence_problems()
+        for txn_id, lsn in sorted(group.acked.items()):
+            status = final_state.txn_status.get(txn_id)
+            if status is not None and status != COMMITTED:
+                problems.append(
+                    f"no-acked-txn-lost: acked txn {txn_id} (lsn {lsn}) "
+                    f"replayed as {status} at shutdown"
+                )
+        return problems, dict(
+            acked=group.acked_count,
+            unacked=group.unacked_count,
+            replica_digests=group.replica_digests(),
+            net_counters=dict(group.net.counters),
         )
 
 
@@ -563,16 +620,10 @@ def run_chaos_suite(
 ) -> tuple[str, bool]:
     """Run the chaos matrix; returns (report text, all passed).
 
-    With ``jobs > 1`` the independent (system, workload) cells fan out
-    over a process pool; results are collected in submission order, so
-    the report is bit-identical to the serial run.  When any run fails,
-    the verdict line names the violated invariants.
-
-    When *collect* is a list, one dict per suite cell (``system``,
-    ``workload``, ``seed``, ``ok``, ``failed_invariants``, ``report``)
-    is appended to it in submission order — the hook
-    ``repro.store`` uses to persist a chaos run without changing this
-    function's return shape.
+    Every (system, workload) pair is one cell of :func:`run_suite`:
+    ``jobs > 1`` fans cells out, the report is bit-identical to the
+    serial run, a failing verdict names the violated invariants, and
+    *collect* receives one dict per cell.
     """
     names = [canonical_name(s) for s in systems] if systems else list(ALL_SYSTEMS)
     factories = default_workload_factories()
@@ -589,44 +640,42 @@ def run_chaos_suite(
         overrides["n_txns"] = n_txns
     if n_crashes is not None:
         overrides["n_crashes"] = n_crashes
-    tasks: list[tuple[ChaosSpec, str]] = []
-    for system in names:
-        for workload_name in factories:
-            if quick:
-                spec = ChaosSpec.quick(system, seed=seed, **overrides)
-            else:
-                spec = ChaosSpec(system, seed=seed, **overrides)
-            tasks.append((spec, workload_name))
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    make_spec = ChaosSpec.quick if quick else ChaosSpec
+    tasks = [
+        (make_spec(system, seed=seed, **overrides), workload_name)
+        for system in names
+        for workload_name in factories
+    ]
+    return run_suite(
+        _run_suite_task, tasks, jobs=jobs, collect=collect,
+        label="run_chaos_suite", clean="all chaos runs clean",
+        failure="CHAOS FAILURES",
+    )
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_suite_task, tasks, chunksize=1))
-    else:
-        outcomes = [_run_suite_task(task) for task in tasks]
-    # Suite cells fold in submission order; the sanitizer flags any
-    # unordered collection sneaking into this merge point.
-    outcomes = sanitizer.checked_merge(outcomes, "run_chaos_suite")
+
+def run_suite(
+    run_task, tasks: list, *, jobs: int | None, collect: list | None,
+    label: str, clean: str, failure: str,
+) -> tuple[str, bool]:
+    """Fan suite cells out; returns (reports + verdict line, all passed).
+
+    *run_task* turns one ``(spec, workload name)`` task into ``(report,
+    ok, violated invariant names)``; results fold in task order, so the
+    text is bit-identical to the serial run.  When *collect* is a list,
+    one dict per cell is appended to it (the ``repro.store`` hook).
+    """
+    outcomes = ordered_map(run_task, tasks, jobs, label=label)
     if collect is not None:
         for (spec, workload_name), (text, ok, failed) in zip(tasks, outcomes):
-            collect.append(
-                {
-                    "system": spec.system,
-                    "workload": workload_name,
-                    "seed": spec.seed,
-                    "ok": ok,
-                    "failed_invariants": list(failed),
-                    "report": text,
-                }
-            )
+            collect.append(dict(
+                system=spec.system, workload=workload_name, seed=spec.seed,
+                ok=ok, failed_invariants=list(failed), report=text,
+            ))
     lines = [text for text, _, _ in outcomes]
     all_ok = all(ok for _, ok, _ in outcomes)
-    if all_ok:
-        verdict = "all chaos runs clean"
-    else:
-        failed = sorted({name for _, _, names_ in outcomes for name in names_})
-        verdict = "CHAOS FAILURES (see above) — failing invariants: " + (
-            ", ".join(failed) if failed else "(unnamed)"
-        )
-    lines.append(verdict)
+    failed = sorted({name for _, _, names in outcomes for name in names})
+    lines.append(
+        clean if all_ok else f"{failure} (see above) — failing invariants: "
+        + (", ".join(failed) or "(unnamed)")
+    )
     return "\n".join(lines), all_ok

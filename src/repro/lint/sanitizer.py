@@ -22,7 +22,9 @@ merge point.  It is the dynamic half of the determinism contract:
   counts, shipped back from worker processes on
   ``RunResult.rng_draws`` and merged in seed order, so a serial run
   and a ``--jobs N`` run can be diffed stream by stream
-  (**draw-count divergence**).
+  (**draw-count divergence**).  Draws a pool task leaves undrained,
+  and its violations, ship back through :func:`drain_worker_state` /
+  :func:`merge_worker_state` (:mod:`repro.util.fanout` calls them).
 * :func:`checked_merge` — guards merge points: handing an unordered
   ``set``/``frozenset`` to a seed-order fold is recorded as an
   **unordered-merge hazard**.
@@ -45,7 +47,7 @@ MAX_VIOLATIONS = 200
 _armed = os.environ.get(ENV_VAR) == "1"
 _scopes: list[tuple[str, ...]] = []
 _draws: dict[str, int] = {}
-_violations: list[str] = []
+_violations: list[tuple[tuple, str]] = []  # (dedupe key, message)
 _violation_keys: set[tuple] = set()
 
 
@@ -102,11 +104,11 @@ def _record(key: tuple, message: str) -> None:
         return
     _violation_keys.add(key)
     if len(_violations) < MAX_VIOLATIONS:
-        _violations.append(message)
+        _violations.append((key, message))
 
 
 def violations() -> list[str]:
-    return list(_violations)
+    return [message for _, message in _violations]
 
 
 def ok() -> bool:
@@ -199,6 +201,22 @@ def drain_draws() -> dict[str, int]:
     snap = snapshot_draws()
     _draws.clear()
     return snap
+
+
+def drain_worker_state() -> tuple[dict[str, int], list[tuple[tuple, str]]]:
+    """Snapshot-and-clear draws and violations: a pool task's share."""
+    violations_ = list(_violations)
+    _violations.clear()
+    _violation_keys.clear()
+    return drain_draws(), violations_
+
+
+def merge_worker_state(state: tuple[dict[str, int], list[tuple[tuple, str]]]) -> None:
+    """Fold a worker's drained share in as if it had happened here."""
+    draws, violations_ = state
+    merge_draws(_draws, draws)
+    for key, message in violations_:
+        _record(key, message)
 
 
 def merge_draws(into: dict[str, int], more: dict[str, int]) -> dict[str, int]:

@@ -11,8 +11,8 @@ this pass catches the *construction* mistakes statically:
 
 * every literal purpose must appear in :data:`STREAM_REGISTRY`, which
   also records how many construction sites the purpose is allowed
-  (``"image"`` and ``"net"`` are deliberately two — the chaos harness
-  and the sharded cluster tear from like-named streams);
+  (``"image"`` is deliberately two — the chaos harness and the
+  sharded cluster tear from like-named streams);
 * dynamic purposes built as f-strings must start with a prefix from
   :data:`PREFIX_REGISTRY` (``f"load-arrival:{tag}:{stream}"``);
 * purposes that are plain variables are only allowed at functions
@@ -48,8 +48,8 @@ STREAM_REGISTRY: dict[str, int] = {
     "2pc-client": 1,   # sharded cluster client-side 2PC jitter
     "client": 1,       # replication group client jitter
     "image": 2,        # crash-image tear: chaos harness + sharded cluster
-    "net": 2,          # net jitter: chaos harness + sharded chaos
-    "stall": 1,        # sharded chaos prepare-stall placement
+    "net": 1,          # chaos harness network-fault placement
+    "stall": 1,        # chaos harness prepare-stall placement
 }
 
 # f-string purposes must start with one of these prefixes (through the

@@ -79,6 +79,7 @@ from repro.storage.recovery import (
     verify_against_engine,
     write_checkpoint,
 )
+from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng
 from repro.util.timeunits import TICK_NS, ticks_to_ns, us_to_ns
 from repro.workloads.microbench import BYTES_PER_ROW, TABLE, MicroBenchmark
@@ -651,23 +652,12 @@ def run_load(spec: LoadSpec, jobs: int | None = None) -> LoadResult:
     order, bit-identical to the serial path (same seeds, same task
     list, no shared state).
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.bench.parallel import get_jobs
-
     capacity = probe_capacity(spec)
     probe_draws = sanitizer.drain_draws() if sanitizer.enabled() else {}
     base_rate = spec.rate if spec.rate is not None else max(capacity, 1.0)
     tasks = [(spec, m, base_rate * m) for m in spec.multipliers]
-    n_jobs = get_jobs() if jobs is None else max(1, jobs)
-    if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            points = list(pool.map(_run_point_task, tasks, chunksize=1))
-    else:
-        points = [_run_point_task(task) for task in tasks]
-    # Fold in submission (= multiplier) order; an unordered container
-    # reaching this merge would be a determinism bug the sanitizer flags.
-    points = sanitizer.checked_merge(points, "load-sweep")
+    # Fold in submission (= multiplier) order.
+    points = ordered_map(_run_point_task, tasks, jobs, label="load-sweep")
     rng_draws: dict = dict(probe_draws)
     for point in points:
         sanitizer.merge_draws(rng_draws, point.rng_draws)

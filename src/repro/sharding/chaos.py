@@ -20,6 +20,10 @@ per-shard invariants (state round-trip, TPC-C consistency, replica
 convergence) plus the three cross-shard ones
 (:func:`repro.sharding.invariants.cross_shard_invariants`).
 
+The cluster is a target of the shared harness in
+:mod:`repro.faults.chaos`; this module adds only the crash pool, the
+final invariants, and the result type.
+
 Everything derives from the spec's seed through the established child
 streams — ``fault-schedule`` for crash scheduling, ``net`` for network
 at-hits, ``stall`` for prepare stalls, ``workload`` for the
@@ -37,34 +41,29 @@ from repro import obs
 from repro.engines.base import COMMITTED, EngineStats
 from repro.engines.config import EngineConfig
 from repro.engines.registry import canonical_name
+from repro.faults.chaos import (
+    check_ack_and_net_kinds,
+    drive_segments,
+    invariant_names,
+    run_suite,
+)
 from repro.faults.injector import (
     COORDINATOR_CRASH,
     CRASH,
-    FaultInjector,
-    FaultSpec,
-    NET_SEND,
-    NETWORK_KINDS,
     PARTICIPANT_CRASH,
-    PREPARE_STALL,
     SimulatedCrash,
     TPC_COORDINATOR,
     TPC_PARTICIPANT,
-    TPC_PREPARE,
     TXN_BODY,
     WAL_AFTER_APPEND,
     WAL_GROUP_COMMIT,
 )
 from repro.faults.invariants import tpcc_invariants
-from repro.lint import sanitizer
-from repro.replication.group import ACK_MODES
 from repro.sharding.cluster import ShardSpec, ShardedCluster
 from repro.sharding.invariants import cross_shard_invariants
 from repro.storage.recovery import take_checkpoint, verify_against_engine
-from repro.util.rng import child_rng, root_rng
 
-# Crash pool: (point, kind) pairs cycled one-per-segment.  The 2PC
-# points fire a few times per cross-shard transaction; engine points
-# fire much more often, hence the wider at-hit ranges.
+# Crash pool: (point, kind) pairs cycled one-per-segment.
 _CRASH_POOL = (
     (TPC_COORDINATOR, COORDINATOR_CRASH),
     (TPC_PARTICIPANT, PARTICIPANT_CRASH),
@@ -72,15 +71,6 @@ _CRASH_POOL = (
     (TXN_BODY, CRASH),
     (WAL_AFTER_APPEND, CRASH),
 )
-_AT_HIT_RANGES = {
-    TPC_COORDINATOR: (1, 4),
-    TPC_PARTICIPANT: (1, 3),
-    WAL_GROUP_COMMIT: (1, 2),
-    TXN_BODY: (1, 5),
-}
-_DEFAULT_AT_HIT_RANGE = (1, 15)
-_NET_AT_HIT_RANGE = (1, 40)
-_STALL_AT_HIT_RANGE = (1, 4)
 
 
 @dataclass(frozen=True)
@@ -104,16 +94,7 @@ class ShardedChaosSpec:
     engine_config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
-        unknown = set(self.net_kinds or ()) - set(NETWORK_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown network fault kind(s) {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(NETWORK_KINDS)}"
-            )
+        check_ack_and_net_kinds(self)
 
     def shard_spec(self) -> ShardSpec:
         return ShardSpec(
@@ -152,8 +133,7 @@ class ShardedChaosResult:
         return not self.problems
 
     def failed_invariants(self) -> list[str]:
-        names = {p.split(":", 1)[0] for p in self.problems if ":" in p}
-        return sorted(names)
+        return invariant_names(self.problems)
 
     def digest(self) -> int:
         """Checksum of final per-shard states + verdict bookkeeping."""
@@ -172,40 +152,6 @@ class ShardedChaosRunner:
     def __init__(self, spec: ShardedChaosSpec) -> None:
         self.spec = spec
 
-    def _segment_injector(
-        self,
-        segment: int,
-        armed: bool,
-        fault_rng: random.Random,
-        net_rng: random.Random,
-        stall_rng: random.Random,
-    ) -> FaultInjector:
-        """One crash + one network fault + one stall per segment.
-
-        Each schedule class draws its at-hits from its own child
-        stream, so enabling or disabling any one of them cannot shift
-        the others — the schedule-digest regression test pins this.
-        """
-        schedule = []
-        if armed:
-            point, kind = _CRASH_POOL[segment % len(_CRASH_POOL)]
-            lo, hi = _AT_HIT_RANGES.get(point, _DEFAULT_AT_HIT_RANGE)
-            with sanitizer.scope("fault-schedule"):
-                at_hit = fault_rng.randint(lo, hi)
-            schedule.append(FaultSpec(point, kind=kind, at_hit=at_hit))
-        kinds = self.spec.net_kinds or NETWORK_KINDS
-        kind = kinds[segment % len(kinds)]
-        with sanitizer.scope("net"):
-            net_at_hit = net_rng.randint(*_NET_AT_HIT_RANGE)
-        schedule.append(FaultSpec(NET_SEND, kind=kind, at_hit=net_at_hit))
-        if self.spec.stalls:
-            with sanitizer.scope("stall"):
-                stall_at_hit = stall_rng.randint(*_STALL_AT_HIT_RANGE)
-            schedule.append(
-                FaultSpec(TPC_PREPARE, kind=PREPARE_STALL, at_hit=stall_at_hit)
-            )
-        return FaultInjector(schedule, seed=self.spec.seed * 1000 + segment)
-
     def run(self) -> ShardedChaosResult:
         spec = self.spec
         with obs.span(
@@ -222,35 +168,10 @@ class ShardedChaosRunner:
 
     def _run(self) -> ShardedChaosResult:
         spec = self.spec
-        fault_rng = root_rng(spec.seed, "fault-schedule")
-        txn_rng = root_rng(spec.seed + 1, "workload")
-        net_rng = child_rng(spec.seed, "net")
-        stall_rng = child_rng(spec.seed, "stall")
         cluster = ShardedCluster(spec.shard_spec())
-        n_crashes = (
-            spec.n_crashes if spec.n_crashes is not None else len(_CRASH_POOL)
+        committed, fired = drive_segments(
+            _ClusterTarget(cluster), spec, _CRASH_POOL, net=True, stalls=spec.stalls
         )
-        segments = n_crashes + 1
-        per_segment = -(-spec.n_txns // segments)
-        injectors: list[FaultInjector] = []
-        committed = 0
-        commits_since_ckpt = 0
-        for segment in range(segments):
-            injector = self._segment_injector(
-                segment, segment < n_crashes, fault_rng, net_rng, stall_rng
-            )
-            injectors.append(injector)
-            cluster.attach_injector(injector)
-            for _ in range(per_segment):
-                outcome = cluster.submit_next(txn_rng)
-                if outcome != COMMITTED:
-                    continue
-                committed += 1
-                commits_since_ckpt += 1
-                if spec.checkpoint_every and commits_since_ckpt >= spec.checkpoint_every:
-                    commits_since_ckpt = 0
-                    self._checkpoint_all(cluster)
-        cluster.attach_injector(None)
         cluster.resolve_all()
         states = cluster.final_states()
         problems = list(cluster.problems)
@@ -272,10 +193,6 @@ class ShardedChaosRunner:
         total.merge(cluster.total_stats)
         for shard in cluster.shards:
             total.merge(shard.engine.stats)
-        fired: dict[str, int] = {}
-        for injector in injectors:
-            for fault in injector.fired:
-                fired[fault.kind] = fired.get(fault.kind, 0) + 1
         return ShardedChaosResult(
             system=canonical_name(spec.system),
             n_shards=spec.n_shards,
@@ -296,31 +213,46 @@ class ShardedChaosRunner:
             fired=fired,
         )
 
-    def _checkpoint_all(self, cluster: ShardedCluster) -> None:
-        """Fuzzy-checkpoint (and truncate) every shard's log; safe now
-        that checkpoints carry prepared records and commit decisions."""
-        for shard in cluster.shards:
-            if shard.crashed:
-                continue
-            try:
-                take_checkpoint(shard.log, truncate=True)
-                if shard.group is not None:
-                    shard.group.ship()
-            except SimulatedCrash as crash:
-                cluster._note_crash(shard, crash)
-        cluster._recover_crashed()
+
+class _ClusterTarget:
+    """The harness target: ``submit_next`` absorbs crashes itself."""
+
+    def __init__(self, cluster: ShardedCluster) -> None:
+        self.cluster = cluster
+        self.attach_injector = cluster.attach_injector
+
+    def step(self, txn_rng: random.Random) -> bool:
+        return self.cluster.submit_next(txn_rng) == COMMITTED
+
+    def checkpoint(self) -> None:
+        _checkpoint_all(self.cluster)
+
+
+def _checkpoint_all(cluster: ShardedCluster) -> None:
+    """Fuzzy-checkpoint (and truncate) every shard's log; safe now
+    that checkpoints carry prepared records and commit decisions."""
+    for shard in cluster.shards:
+        if shard.crashed:
+            continue
+        try:
+            take_checkpoint(shard.log, truncate=True)
+            if shard.group is not None:
+                shard.group.ship()
+        except SimulatedCrash as crash:
+            cluster._note_crash(shard, crash)
+    cluster._recover_crashed()
 
 
 # -- the suite (CLI entry) ---------------------------------------------------
 
 
-def _run_sharded_task(spec: ShardedChaosSpec) -> tuple[str, bool, tuple[str, ...]]:
+def _run_sharded_task(task: tuple[ShardedChaosSpec, str]) -> tuple[str, bool, tuple]:
     """One suite cell; picklable for --jobs fan-out.  The rendered
     report embeds the result digest, so serial and parallel suite runs
     are bit-identical."""
     from repro.bench.report import render_sharded_chaos_result  # local: import cycle
 
-    result = ShardedChaosRunner(spec).run()
+    result = ShardedChaosRunner(task[0]).run()
     return (
         render_sharded_chaos_result(result),
         result.ok,
@@ -343,12 +275,11 @@ def run_sharded_chaos_suite(
 ) -> tuple[str, bool]:
     """Run the sharded chaos sweep over *seeds*; returns (report, ok).
 
-    Each seed is an independent cell (its own cluster, schedule and
-    workload stream); with ``jobs > 1`` cells fan out over a process
-    pool and are collected in submission order.  When *collect* is a
-    list, one dict per cell is appended (same shape as
-    :func:`repro.faults.chaos.run_chaos_suite`'s hook) so the run can
-    be persisted to :mod:`repro.store`.
+    Each seed is an independent cell of
+    :func:`repro.faults.chaos.run_suite` (its own cluster, schedule and
+    workload stream): ``jobs > 1`` fans cells out, the report is
+    bit-identical to the serial run, and *collect* receives one dict
+    per cell (workload ``tpcc``).
     """
     overrides: dict = {}
     if n_txns is not None:
@@ -356,43 +287,21 @@ def run_sharded_chaos_suite(
     if n_crashes is not None:
         overrides["n_crashes"] = n_crashes
     tasks = [
-        ShardedChaosSpec(
-            system=system, n_shards=n_shards, remote_pct=remote_pct,
-            replicas=replicas, ack=ack, seed=seed, **overrides,
+        (
+            ShardedChaosSpec(
+                system=system, n_shards=n_shards, remote_pct=remote_pct,
+                replicas=replicas, ack=ack, seed=seed, **overrides,
+            ),
+            "tpcc",
         )
         for seed in seeds
     ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_run_sharded_task, tasks, chunksize=1))
-    else:
-        outcomes = [_run_sharded_task(task) for task in tasks]
-    outcomes = sanitizer.checked_merge(outcomes, "run_sharded_chaos_suite")
-    if collect is not None:
-        for spec, (text, ok, failed) in zip(tasks, outcomes):
-            collect.append(
-                {
-                    "system": spec.system,
-                    "workload": "tpcc",
-                    "seed": spec.seed,
-                    "ok": ok,
-                    "failed_invariants": list(failed),
-                    "report": text,
-                }
-            )
-    lines = [text for text, _, _ in outcomes]
-    all_ok = all(ok for _, ok, _ in outcomes)
-    if all_ok:
-        verdict = (
+    return run_suite(
+        _run_sharded_task, tasks, jobs=jobs, collect=collect,
+        label="run_sharded_chaos_suite",
+        clean=(
             f"all {len(tasks)} sharded chaos runs clean "
             f"({n_shards} shards, {remote_pct:g}% remote, ack={ack})"
-        )
-    else:
-        failed = sorted({name for _, _, names_ in outcomes for name in names_})
-        verdict = "SHARDED CHAOS FAILURES (see above) — failing invariants: " + (
-            ", ".join(failed) if failed else "(unnamed)"
-        )
-    lines.append(verdict)
-    return "\n".join(lines), all_ok
+        ),
+        failure="SHARDED CHAOS FAILURES",
+    )

@@ -1,9 +1,10 @@
 """repro.util — small stdlib-only helpers shared across the package.
 
-Four modules, all deliberately tiny and import-cycle-free (they import
-nothing from the rest of ``repro``), so any layer — including
-``repro.obs``, which must stay importable while the package is still
-initialising — can use them:
+Five modules, all deliberately tiny and import-cycle-free (the only
+other ``repro`` module they import is the stdlib-only
+:mod:`repro.lint.sanitizer`), so any layer — including ``repro.obs``,
+which must stay importable while the package is still initialising —
+can use them:
 
 * :mod:`repro.util.clock` — the **only** module where reading the host
   clock is legal.  ``repro-lint``'s wall-clock rule allowlists it;
@@ -21,6 +22,10 @@ initialising — can use them:
   seeded-jitter schedule shared by the replication ack loop, the 2PC
   resend loop, the engine retry loop, and the load driver's client
   retry policy.
+* :mod:`repro.util.fanout` — the one process-pool fan-out,
+  :func:`~repro.util.fanout.ordered_map` (results in task order,
+  worker sanitizer state folded back), and the ambient ``--jobs``
+  setting (:func:`~repro.util.fanout.using_jobs`).
 """
 
 from repro.util.backoff import capped_backoff, jittered_backoff

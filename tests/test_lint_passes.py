@@ -253,7 +253,7 @@ class TestStreamRegistryDriftGuard:
         # therefore every pinned schedule digest.  Register new sites;
         # never rename.
         assert literals == {
-            "2pc-client": 1, "client": 1, "image": 2, "net": 2, "stall": 1,
+            "2pc-client": 1, "client": 1, "image": 2, "net": 1, "stall": 1,
         }
         assert prefixes == {
             "chaos-load:": 1, "load-arrival:": 1, "load-cluster:": 1,

@@ -486,6 +486,10 @@ class TestCliValidation:
             ["load", "--timeout-ms", "-1"],
             ["load", "--shed", "-1"],
             ["load", "--breaker", "-1"],
+            ["chaos", "--seeds", "2"],  # --seeds needs --shards
+            ["chaos", "--shards", "2", "--systems", "shore-mt", "hyper"],
+            ["chaos", "--shards", "2", "--workloads", "micro"],
+            ["chaos", "--shards", "2", "--quick"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):

@@ -8,20 +8,18 @@ import pytest
 from repro.bench.parallel import (
     CellTask,
     WorkloadSpec,
-    default_jobs,
-    get_jobs,
-    map_repetitions,
     run_cells,
-    using_jobs,
     workload_spec,
 )
 from repro.bench.runner import (
     ExperimentRunner,
     MIN_MEASURED_TXNS,
     RunSpec,
+    aggregate_repetitions,
     run_repetition,
 )
 from repro.engines.config import EngineConfig
+from repro.util.fanout import default_jobs, get_jobs, using_jobs
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.tpcb import TPCB
 
@@ -122,13 +120,11 @@ class TestParallelParity:
 
     def test_map_repetitions_seed_order(self):
         spec = dataclasses.replace(quick_spec("hyper"), repetitions=2)
-        reps = map_repetitions(spec, MICRO_1MB, jobs=1)
+        result = ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
         a = run_repetition(spec, MICRO_1MB, spec.rep_seed(0))
         b = run_repetition(spec, MICRO_1MB, spec.rep_seed(1))
-        assert [_result_fingerprint(r) for r in reps] == [
-            _result_fingerprint(a),
-            _result_fingerprint(b),
-        ]
+        expected = aggregate_repetitions(spec, [a, b])
+        assert _result_fingerprint(result) == _result_fingerprint(expected)
 
 
 class TestMeasuredTxns:
