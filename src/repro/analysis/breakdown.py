@@ -21,7 +21,7 @@ from repro.core.machine import (
     M_INSTR,
     Machine,
 )
-from repro.engines.registry import make_engine
+from repro.engines.registry import boot_engine
 from repro.util.rng import root_rng
 
 
@@ -51,8 +51,7 @@ def profile_modules(
 ) -> list[ModuleProfile]:
     """Run one cell and return its per-module profile, hottest first."""
     workload = workload_factory()
-    engine = make_engine(spec.system, spec.engine_config)
-    workload.setup(engine)
+    engine = boot_engine(spec.system, spec.engine_config, workload)
     machine = Machine(spec.server, n_cores=1, overlap=spec.overlap)
     prewarm_llc(machine, engine)
     rng = root_rng(spec.seed, "workload")

@@ -44,7 +44,7 @@ from repro.core.profiler import Profiler
 from repro.core.spec import IVY_BRIDGE, ServerSpec
 from repro.engines.base import COMMITTED
 from repro.engines.config import EngineConfig
-from repro.engines.registry import make_engine
+from repro.engines.registry import boot_engine
 from repro.workloads.base import Workload
 
 DEFAULT_MEASURE_EVENTS = 220_000
@@ -199,8 +199,7 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
         config = replace(config, n_partitions=spec.n_cores)
     obs_mark = obs.mark()
     with obs.span("setup", track="harness", cat="harness", system=spec.system):
-        engine = make_engine(spec.system, config)
-        workload.setup(engine)
+        engine = boot_engine(spec.system, config, workload)
         machine = Machine(
             spec.server,
             n_cores=spec.n_cores,

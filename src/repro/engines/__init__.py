@@ -16,8 +16,10 @@ from repro.engines.registry import (
     ENGINE_CLASSES,
     IN_MEMORY,
     PAPER_LABELS,
+    boot_engine,
     canonical_name,
     make_engine,
+    retained_log,
 )
 from repro.engines.shore_mt import ShoreMT, ShoreMTTransaction
 from repro.engines.voltdb import VoltDBEngine, VoltDBTransaction
@@ -45,7 +47,9 @@ __all__ = [
     "TransactionAborted",
     "VoltDBEngine",
     "VoltDBTransaction",
+    "boot_engine",
     "canonical_name",
     "index_hot_regions",
     "make_engine",
+    "retained_log",
 ]

@@ -59,3 +59,25 @@ def canonical_name(system: str) -> str:
 def make_engine(system: str, config: EngineConfig | None = None) -> Engine:
     """Instantiate a system by (paper) name."""
     return ENGINE_CLASSES[canonical_name(system)](config)
+
+
+def boot_engine(system: str, config: EngineConfig | None, workload) -> Engine:
+    """A newly booted engine: the system with *workload*'s initial tables."""
+    engine = make_engine(system, config)
+    workload.setup(engine)
+    return engine
+
+
+def retained_log(engine: Engine, group_commit_size: int | None = None):
+    """*engine*'s recovery log, set to retain every record for replay.
+
+    *group_commit_size*, if given, replaces the log's batch size.
+    Raises ``ValueError`` for an engine that keeps no recovery log.
+    """
+    log = engine.recovery_log()
+    if log is None:
+        raise ValueError(f"{engine.system} exposes no recovery log")
+    log.retain_all = True
+    if group_commit_size is not None:
+        log.group_commit_size = group_commit_size
+    return log

@@ -12,18 +12,20 @@ engine and a ``ReplicationGroup`` (here) and a sharded cluster
 :class:`repro.bench.runner.ExperimentRunner`: instead of measuring, it
 drives any engine × workload while a :class:`FaultInjector` crashes the
 simulated process at scheduled injection points.  After every crash it
+takes the WAL's :meth:`crash_image` (durable prefix + partially lost,
+possibly torn tail) and restarts through
+:func:`repro.storage.recovery.restart`, which
 
-1. takes the WAL's :meth:`crash_image` (durable prefix + partially lost,
-   possibly torn tail),
-2. replays it (:func:`repro.storage.recovery.replay` — torn-prefix
-   truncation, checkpoint seeding, filtered redo, CLR undo),
-3. restores the recovered state onto a freshly set-up engine,
-4. checks the restore round-trips (:func:`verify_against_engine`) and,
-   for TPC-C, the clause-3.3.2-style consistency conditions
-   (:func:`repro.faults.invariants.tpcc_invariants`) — the atomicity
-   proof: no partial transaction effects survive a crash,
-5. seeds the new engine's log with a checkpoint of the recovered state
-   so the *next* crash can recover the cumulative history.
+1. replays the image (torn-prefix truncation, checkpoint seeding,
+   filtered redo, CLR undo),
+2. restores the recovered state onto a freshly booted engine,
+3. checks the restore round-trips (:func:`verify_against_engine`),
+4. seeds the new engine's log with a checkpoint of the recovered state
+   so the *next* crash can recover the cumulative history;
+
+for TPC-C the harness then checks the clause-3.3.2-style consistency
+conditions (:func:`repro.faults.invariants.tpcc_invariants`) — the
+atomicity proof: no partial transaction effects survive a crash.
 
 Under the paper's asynchronous group-commit setup a transaction whose
 commit record had not flushed may be lost wholesale — that is permitted;
@@ -57,7 +59,12 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.engines.base import COMMITTED, EngineStats
 from repro.engines.config import EngineConfig
-from repro.engines.registry import ALL_SYSTEMS, canonical_name, make_engine
+from repro.engines.registry import (
+    ALL_SYSTEMS,
+    boot_engine,
+    canonical_name,
+    retained_log,
+)
 from repro.faults.injector import (
     ABORT,
     CRASH,
@@ -81,10 +88,9 @@ from repro.lint import sanitizer
 from repro.replication import ACK_MODES, ReplicationGroup, ReplicationSpec
 from repro.storage.recovery import (
     replay,
-    restore_engine,
+    restart,
     take_checkpoint,
     verify_against_engine,
-    write_checkpoint,
 )
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng, root_rng
@@ -336,17 +342,6 @@ class ChaosRunner:
 
     # -- engine lifecycle ----------------------------------------------------
 
-    def _fresh_engine(self):
-        """A newly 'booted' engine: initial tables, recovery-ready log."""
-        engine = make_engine(self.spec.system, self.spec.resolved_config())
-        self.workload.setup(engine)
-        log = engine.recovery_log()
-        if log is None:
-            raise ValueError(f"{self.spec.system} exposes no recovery log")
-        log.retain_all = True
-        log.group_commit_size = self.spec.group_commit_size
-        return engine, log
-
     def _point_pool(self, engine) -> list[str]:
         if self.spec.points is not None:
             return list(self.spec.points)
@@ -418,9 +413,10 @@ class ChaosRunner:
 class _EngineTarget:
     """A bare engine; a crash restarts it through :meth:`_recover`.
 
-    The restarted engine runs the rest of its segment with no injector
-    attached, so an abort storm ends at the first restart; the chaos
-    digests pin this.
+    The restart is :func:`repro.storage.recovery.restart` with no
+    injector: the restarted engine runs the rest of its segment with no
+    faults armed, so an abort storm ends at the first restart; the chaos
+    digests pin this.  Every other restart path re-attaches its injector.
     """
 
     def __init__(self, runner: ChaosRunner) -> None:
@@ -428,14 +424,19 @@ class _EngineTarget:
         self.total = EngineStats()
         self.crashes: list[CrashReport] = []
         self.attempted = 0
-        self._boot()
+        self._start()
 
-    def _boot(self) -> None:
-        self.engine, self.log = self.runner._fresh_engine()
+    def _start(self) -> None:
+        self.engine, self.log = self._boot()
         # Crash-image draws (how much of the unflushed tail survives)
         # get their own child stream, so the fault-schedule stream is
         # consumed by schedule draws only.
         self.image_rng = child_rng(self.runner.spec.seed, "image")
+
+    def _boot(self):
+        spec = self.runner.spec
+        engine = boot_engine(spec.system, spec.resolved_config(), self.runner.workload)
+        return engine, retained_log(engine, spec.group_commit_size)
 
     def attach_injector(self, injector) -> None:
         self.engine.attach_injector(injector)
@@ -465,35 +466,32 @@ class _EngineTarget:
         pass
 
     def _recover(self, crash: SimulatedCrash) -> CrashReport:
-        """The restart path: torn log -> replay -> restore -> verify."""
-        runner, engine = self.runner, self.engine
+        """Tear the dead engine's log, restart, check the invariants."""
+        runner = self.runner
         with obs.span(
             "chaos.recover", track="chaos", cat="faults",
             point=crash.point, hit=crash.hit, txn_index=self.attempted,
         ) as recover_span:
-            self.total.merge(engine.stats)
+            self.total.merge(self.engine.stats)
             with sanitizer.scope("image"):
-                image = engine.recovery_log().crash_image(self.image_rng)
-            state = replay(image)
-            self.engine, self.log = runner._fresh_engine()
-            restore_engine(state, self.engine)
-            problems = runner._named_problems(state, self.engine)
+                image = self.engine.recovery_log().crash_image(self.image_rng)
+            state, self.engine, self.log, problems = restart(
+                image, self._boot, self.engine
+            )
+            problems.extend(
+                f"tpcc-consistency: {p}"
+                for p in runner._workload_invariants(self.engine)
+            )
             recover_span.set(
                 lost_records=image.lost_records,
                 torn_tail=image.torn_tail,
                 problems=len(problems),
             )
             obs.inc("chaos.recoveries", system=runner.spec.system)
-        report = self._report(
+        return self._report(
             crash, state, lost_records=image.lost_records,
             torn_tail=image.torn_tail, state_digest=state.digest(), problems=problems,
         )
-        # Seed the new log with the recovered state so the next crash
-        # replays from here; the dead process's in-flight transactions
-        # are gone for good and are not carried forward.
-        state.active_records = []
-        write_checkpoint(self.log, state)
-        return report
 
     def finish(self, final_state) -> tuple[list[str], dict]:
         """Extra final problems, and the result's replication fields."""
@@ -516,11 +514,9 @@ class _GroupTarget(_EngineTarget):
     """A :class:`ReplicationGroup`; a primary crash fails over and the
     new primary gets the segment's injector back."""
 
-    def _boot(self) -> None:
+    def _start(self) -> None:
         spec = self.runner.spec
-        self.group = ReplicationGroup(
-            spec.replication_spec(), self.runner._fresh_engine, seed=spec.seed
-        )
+        self.group = ReplicationGroup(spec.replication_spec(), self._boot, seed=spec.seed)
 
     @property
     def engine(self):
@@ -531,7 +527,6 @@ class _GroupTarget(_EngineTarget):
         return self.group.log
 
     def attach_injector(self, injector) -> None:
-        self.injector = injector
         self.group.attach_injector(injector)
 
     def _submit(self, procedure: str, body) -> None:
@@ -550,7 +545,6 @@ class _GroupTarget(_EngineTarget):
             for p in self.runner._workload_invariants(self.engine)
         )
         obs.inc("chaos.failovers", system=self.runner.spec.system)
-        self.group.attach_injector(self.injector)
         return self._report(
             crash, state, lost_records=outcome.lost_records, torn_tail=False,
             state_digest=outcome.state_digest, problems=problems,

@@ -35,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import obs
+from repro.bench.runner import prewarm_llc
 from repro.core.machine import Machine
 from repro.core.spec import IVY_BRIDGE
 from repro.engines.base import COMMITTED
 from repro.engines.config import EngineConfig
-from repro.engines.registry import make_engine
+from repro.engines.registry import boot_engine, retained_log
 from repro.faults.injector import (
     ABORT,
     COORDINATOR_CRASH,
@@ -73,12 +74,7 @@ from repro.replication.group import (
 )
 from repro.sharding.cluster import ShardSpec, ShardedCluster
 from repro.storage.record import LONG
-from repro.storage.recovery import (
-    replay as replay_log,
-    restore_engine,
-    verify_against_engine,
-    write_checkpoint,
-)
+from repro.storage.recovery import restart
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng
 from repro.util.timeunits import TICK_NS, ticks_to_ns, us_to_ns
@@ -233,6 +229,8 @@ class LoadResult:
 
 # -- backends -----------------------------------------------------------------
 
+_ENGINE_CONFIG = EngineConfig(materialize_threshold=0)
+
 
 class _PlainBackend:
     """One engine + cycle-accurate machine; service = replayed cycles."""
@@ -241,24 +239,9 @@ class _PlainBackend:
         self.spec = spec
         self.workload = MicroBenchmark(db_bytes=spec.n_rows * BYTES_PER_ROW)
         self.n_rows = self.workload.n_rows
-        self.engine = make_engine(
-            spec.system, EngineConfig(materialize_threshold=0)
-        )
-        self.workload.setup(self.engine)
-        if spec.chaos is not None and CRASH in spec.chaos.kinds:
-            # A crash window replays the real ARIES restart; the log
-            # must retain its records for crash_image to tear.
-            log = self.engine.recovery_log()
-            if log is None:
-                raise ValueError(
-                    f"{spec.system} exposes no recovery log; crash chaos "
-                    f"needs a WAL to tear and replay"
-                )
-            log.retain_all = True
+        self.engine = self._start()
         self.machine = Machine(IVY_BRIDGE)
         self.ns_per_cycle = 1.0 / IVY_BRIDGE.clock_ghz
-        from repro.bench.runner import prewarm_llc
-
         prewarm_llc(self.machine, self.engine)
         self._injector: FaultInjector | None = None
         if spec.fault_rate > 0:
@@ -266,7 +249,27 @@ class _PlainBackend:
                 [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
                 seed=spec.seed,
             )
-            self.engine.attach_injector(self._injector)
+            self._attach(self._injector)
+
+    def _boot(self):
+        engine = boot_engine(self.spec.system, _ENGINE_CONFIG, self.workload)
+        return engine, retained_log(engine)
+
+    def _start(self):
+        chaos = self.spec.chaos
+        if chaos is not None and CRASH in chaos.kinds:
+            # A crash window tears the log (crash_image) and replays it,
+            # so the log must retain every record.
+            return self._boot()[0]
+        return boot_engine(self.spec.system, _ENGINE_CONFIG, self.workload)
+
+    def _attach(self, injector: FaultInjector) -> None:
+        self.engine.attach_injector(injector)
+
+    def _adopt(self, engine) -> None:
+        """Serve from a restarted engine: its hot set goes back into the LLC."""
+        self.engine = engine
+        prewarm_llc(self.machine, engine)
 
     def _body(self, event: LoadEvent, key: int):
         op = event.op
@@ -304,30 +307,19 @@ class _PlainBackend:
     def crash_recover(self, chaos: ChaosLoadSpec, image_rng) -> tuple[int, list[str]]:
         """A crash window fired: real ARIES restart, priced per record.
 
-        Tears the dead engine's log (``crash_image``), replays it,
-        restores a fresh engine, verifies the round-trip, and seeds the
-        new log with a checkpoint — the exact ChaosRunner restart path.
-        Returns ``(recovery_ns, problems)``; recovery is priced as
-        ``recovery_base_us + recovery_per_record_us x records replayed``.
+        Tears the dead engine's log (``crash_image``) and restarts it
+        through :func:`repro.storage.recovery.restart`, the same path
+        single-node chaos takes, with one difference: the backend's
+        fault-rate injector is re-attached to the new engine, while a
+        chaos restart runs on with none.  Returns ``(recovery_ns,
+        problems)``; recovery is priced as ``recovery_base_us +
+        recovery_per_record_us x records replayed``.
         """
         image = self.engine.recovery_log().crash_image(image_rng)
-        state = replay_log(image)
-        fresh = make_engine(self.spec.system, EngineConfig(materialize_threshold=0))
-        self.workload.setup(fresh)
-        fresh_log = fresh.recovery_log()
-        fresh_log.retain_all = True
-        restore_engine(state, fresh)
-        problems = [
-            f"state-roundtrip: {p}" for p in verify_against_engine(state, fresh)
-        ]
-        state.active_records = []
-        write_checkpoint(fresh_log, state)
-        if self._injector is not None:
-            fresh.attach_injector(self._injector)
-        self.engine = fresh
-        from repro.bench.runner import prewarm_llc
-
-        prewarm_llc(self.machine, self.engine)
+        state, engine, _log, problems = restart(
+            image, self._boot, self.engine, self._injector
+        )
+        self._adopt(engine)
         records = state.redo_applied + state.undo_applied + state.truncated_records
         recovery_ns = us_to_ns(
             chaos.recovery_base_us + chaos.recovery_per_record_us * records
@@ -339,64 +331,35 @@ class _PlainBackend:
 class _ReplicatedBackend(_PlainBackend):
     """Primary + replicas; service adds the ack round's fabric ticks."""
 
-    def __init__(self, spec: LoadSpec, tag: str) -> None:
-        self.workload = MicroBenchmark(db_bytes=spec.n_rows * BYTES_PER_ROW)
-        self.n_rows = self.workload.n_rows
-        self.spec = spec
-
-        def factory():
-            engine = make_engine(spec.system, EngineConfig(materialize_threshold=0))
-            self.workload.setup(engine)
-            log = engine.recovery_log()
-            if log is None:
-                raise ValueError(
-                    f"{spec.system} exposes no recovery log; replicated load "
-                    f"needs a WAL-shipping primary"
-                )
-            log.retain_all = True
-            return engine, log
-
+    def _start(self):
+        spec = self.spec
         self.group = ReplicationGroup(
             ReplicationSpec(n_replicas=spec.replicas, ack=spec.ack),
-            factory,
+            self._boot,
             seed=spec.seed,
         )
-        self.engine = self.group.engine
-        self.machine = Machine(IVY_BRIDGE)
-        self.ns_per_cycle = 1.0 / IVY_BRIDGE.clock_ghz
-        from repro.bench.runner import prewarm_llc
+        return self.group.engine
 
-        prewarm_llc(self.machine, self.engine)
-        self._injector = None
-        if spec.fault_rate > 0:
-            self._injector = FaultInjector(
-                [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
-                seed=spec.seed,
-            )
-            self.group.attach_injector(self._injector)
+    def _attach(self, injector: FaultInjector) -> None:
+        self.group.attach_injector(injector)
 
     def crash_recover(self, chaos: ChaosLoadSpec, image_rng) -> tuple[int, list[str]]:
         """A crash window fired: real failover, priced in fabric ticks.
 
         The group elects the highest-durable replica, replays it under a
-        bumped epoch, and installs a fresh primary; the ticks the
-        election + resync consumed land on the queue as recovery time.
+        bumped epoch, and installs a fresh primary carrying the group's
+        injector; the ticks the election + resync consumed land on the
+        queue as recovery time.
         """
         ticks_before = self.group.net.clock
         _state, report = self.group.failover()
-        problems = list(report.problems)
-        self.engine = self.group.engine
-        if self._injector is not None:
-            self.group.attach_injector(self._injector)
-        from repro.bench.runner import prewarm_llc
-
-        prewarm_llc(self.machine, self.engine)
+        self._adopt(self.group.engine)
         failover_ticks = self.group.net.clock - ticks_before
         recovery_ns = (
             us_to_ns(chaos.recovery_base_us) + ticks_to_ns(max(failover_ticks, 1))
         )
         obs.inc("load.failovers", system=self.spec.system)
-        return recovery_ns, problems
+        return recovery_ns, list(report.problems)
 
     def start_partition(self, ticks: int) -> None:
         """A partition window opened: cut the primary from its replicas."""

@@ -45,15 +45,7 @@ from repro import obs
 from repro.engines.base import COMMITTED
 from repro.lint import sanitizer
 from repro.replication.network import SimNetwork
-from repro.storage.recovery import (
-    COORD_COMMIT,
-    PREPARED,
-    RecoveredState,
-    replay,
-    restore_engine,
-    verify_against_engine,
-    write_checkpoint,
-)
+from repro.storage.recovery import RecoveredState, restart
 from repro.storage.wal import LogImage, LogRecord
 from repro.util.backoff import jittered_backoff
 from repro.util.rng import child_rng
@@ -184,6 +176,7 @@ class ReplicationGroup:
         self.engine_factory = engine_factory  # () -> (engine, retained log)
         self.seed = seed
         self.engine, self.log = engine_factory()
+        self.injector = None
         self.net = SimNetwork(latency_ticks=spec.latency_ticks)
         self.net.register(PRIMARY_NODE, self._on_primary_message)
         self.replicas = [Replica(i) for i in range(spec.n_replicas)]
@@ -239,7 +232,9 @@ class ReplicationGroup:
     # -- shipping ------------------------------------------------------------
 
     def attach_injector(self, injector) -> None:
-        """Thread a FaultInjector through the primary *and* the fabric."""
+        """Thread a FaultInjector through the primary *and* the fabric;
+        a failover re-attaches it to the new primary."""
+        self.injector = injector
         self.engine.attach_injector(injector)
         self.net.injector = injector
 
@@ -382,9 +377,11 @@ class ReplicationGroup:
     def failover(self) -> tuple[RecoveredState, FailoverReport]:
         """The primary died: elect, replay, and install a new primary.
 
-        Leaves the group running under a bumped epoch with a fresh
-        primary seeded from the winner's recovered state; the caller
-        still holds the dead engine for stats accounting.
+        The winner's log goes through :func:`restart`, which also
+        re-attaches the group's injector to the new primary.  Leaves the
+        group running under a bumped epoch with that primary seeded from
+        the winner's recovered state; the caller still holds the dead
+        engine for stats accounting.
         """
         with obs.span(
             "repl.failover", track="repl", cat="replication", epoch=self.epoch
@@ -403,7 +400,9 @@ class ReplicationGroup:
                         f"(replica{winner.replica_id}) is only durable to "
                         f"{winner.durable_lsn}"
                     )
-            state = replay(winner.log_image())
+            state, engine, log, roundtrip = restart(
+                winner.log_image(), self.engine_factory, self.engine, self.injector
+            )
             for txn_id, lsn in sorted(self.acked.items()):
                 status = state.txn_status.get(txn_id)
                 if status is not None and status != "committed":
@@ -411,20 +410,7 @@ class ReplicationGroup:
                         f"no-acked-txn-lost: acked txn {txn_id} replayed as "
                         f"{status} on the failover winner"
                     )
-            engine, log = self.engine_factory()
-            restore_engine(state, engine)
-            # Carried in-doubt records keep their old txn ids; the fresh
-            # engine must never hand those ids out again.  The dead
-            # primary's counter covers txns whose records the winner
-            # never received.
-            engine._next_txn_id = max(
-                engine._next_txn_id,
-                self.engine._next_txn_id,
-                max(state.txn_status, default=0) + 1,
-            )
-            problems.extend(
-                f"state-roundtrip: {p}" for p in verify_against_engine(state, engine)
-            )
+            problems.extend(roundtrip)
             report = FailoverReport(
                 epoch=self.epoch,
                 winner_id=winner.replica_id,
@@ -438,11 +424,8 @@ class ReplicationGroup:
             )
             self.failovers.append(report)
             # New epoch: replicas drop their old logs and resync from the
-            # new primary's checkpoint.  In-flight transactions died with
-            # the old primary and are not carried forward — but in-doubt
-            # 2PC transactions (prepared, decision elsewhere) and
-            # coordinator commit decisions must survive the failover, so
-            # the checkpoint keeps carrying them.
+            # new primary's checkpoint, which carries in-doubt 2PC
+            # transactions and coordinator commit decisions forward.
             self.epoch += 1
             self.engine, self.log = engine, log
             self.history = []
@@ -452,12 +435,6 @@ class ReplicationGroup:
                 replica.reset(self.epoch)
                 self._sent_lsn[replica.replica_id] = 0
                 self.acked_lsn[replica.replica_id] = 0
-            state.active_records = [
-                r for r in state.active_records
-                if r.kind == COORD_COMMIT
-                or state.txn_status.get(r.txn_id) == PREPARED
-            ]
-            write_checkpoint(self.log, state)
             self.ship()
             failover_span.set(
                 winner=winner.replica_id,

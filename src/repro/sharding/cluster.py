@@ -38,7 +38,7 @@ from repro.engines.base import (
     UserAbort,
 )
 from repro.engines.config import EngineConfig
-from repro.engines.registry import make_engine
+from repro.engines.registry import boot_engine, retained_log
 from repro.faults.injector import (
     PREPARE_STALL,
     SimulatedCrash,
@@ -54,13 +54,11 @@ from repro.storage.recovery import (
     COMMITTED as R_COMMITTED,
     COORD_COMMIT,
     PREPARE,
-    PREPARED,
     prepared_records,
     redo_records,
     replay,
+    restart,
     restore_engine,
-    verify_against_engine,
-    write_checkpoint,
 )
 from repro.sharding.partition import shard_of_warehouse
 from repro.sharding.twopc import (
@@ -212,7 +210,7 @@ class ShardedCluster:
         self.workload = TPCC(warehouses=spec.n_warehouses())
         self.net = SimNetwork(latency_ticks=spec.latency_ticks)
         self.shards = [
-            Shard(i, spec, self._make_engine_factory()) for i in range(spec.n_shards)
+            Shard(i, spec, self._boot) for i in range(spec.n_shards)
         ]
         for shard in self.shards:
             self.net.register(shard.node, self._make_handler(shard))
@@ -243,20 +241,10 @@ class ShardedCluster:
 
     # -- engine lifecycle ----------------------------------------------------
 
-    def _make_engine_factory(self):
-        spec, workload = self.spec, self.workload
-
-        def factory():
-            engine = make_engine(spec.system, spec.resolved_config())
-            workload.setup(engine)
-            log = engine.recovery_log()
-            if log is None:
-                raise ValueError(f"{spec.system} exposes no recovery log")
-            log.retain_all = True
-            log.group_commit_size = spec.group_commit_size
-            return engine, log
-
-        return factory
+    def _boot(self):
+        spec = self.spec
+        engine = boot_engine(spec.system, spec.resolved_config(), self.workload)
+        return engine, retained_log(engine, spec.group_commit_size)
 
     def attach_injector(self, injector) -> None:
         """Thread one injector through every shard, group, and the fabric."""
@@ -682,25 +670,6 @@ class ShardedCluster:
             if shard.crashed:
                 self._recover(shard)
 
-    @staticmethod
-    def _reserve_indoubt_rows(engine, state) -> None:
-        """Pin heap slots for carried in-doubt inserts.
-
-        A prepared transaction's insert records name the row ids the
-        dead process assigned; the recovered engine must not hand those
-        ids to new transactions, or the eventual commit verdict would
-        redo the insert on top of someone else's row.
-        """
-        for record in state.active_records:
-            if (
-                record.kind == "insert"
-                and state.txn_status.get(record.txn_id) == PREPARED
-            ):
-                table, _key, row_id, _values = record.payload
-                heap = engine.table(table).heap
-                while heap.n_rows <= row_id:
-                    heap.append(heap.schema.default_row(heap.n_rows))
-
     def _recover(self, shard: Shard) -> None:
         """Restart one dead shard: replay, rebuild in-doubt, resolve."""
         with obs.span(
@@ -709,38 +678,14 @@ class ShardedCluster:
             if shard.group is not None:
                 state, report = shard.group.failover()
                 self.problems.extend(report.problems)
-                self._reserve_indoubt_rows(shard.engine, state)
-                if self.injector is not None:
-                    shard.group.attach_injector(self.injector)
             else:
                 with sanitizer.scope("image"):
                     image = shard.log.crash_image(self._image_rng)
-                state = replay(image)
-                engine, log = self._make_engine_factory()()
-                restore_engine(state, engine)
-                self._reserve_indoubt_rows(engine, state)
-                self.problems.extend(
-                    f"state-roundtrip: {p}"
-                    for p in verify_against_engine(state, engine)
+                state, engine, log, problems = restart(
+                    image, self._boot, shard.engine, self.injector
                 )
-                # The log alone under-counts: a crashed txn whose records
-                # were all unflushed leaves no trace, and reusing its id
-                # would let a later commit impersonate it in the global
-                # bookkeeping.  Carry the dead process's counter too.
-                engine._next_txn_id = max(
-                    engine._next_txn_id,
-                    shard.engine._next_txn_id,
-                    max(state.txn_status, default=0) + 1,
-                )
-                state.active_records = [
-                    r for r in state.active_records
-                    if r.kind == COORD_COMMIT
-                    or state.txn_status.get(r.txn_id) == PREPARED
-                ]
-                write_checkpoint(log, state)
+                self.problems.extend(problems)
                 shard.adopt(engine, log)
-                if self.injector is not None:
-                    engine.attach_injector(self.injector)
             shard.crashed = False
             shard.recoveries += 1
             self.counters["recoveries"] += 1

@@ -30,6 +30,7 @@ from repro.storage.recovery import (
     RecoveredState,
     analyse,
     replay,
+    restart,
     restore_engine,
     take_checkpoint,
     valid_prefix,
@@ -88,6 +89,7 @@ __all__ = [
     "microbench_schema",
     "record_checksum",
     "replay",
+    "restart",
     "restore_engine",
     "string_type",
     "take_checkpoint",

@@ -28,7 +28,8 @@ The result is the table state a restarted engine would recover to;
 :func:`restore_engine` applies it onto a freshly set-up engine and
 :func:`verify_against_engine` compares recovered and live state — a
 machine-checked proof that the logging protocol captures exactly the
-committed effects.
+committed effects.  :func:`restart` is the one process-restart sequence
+built from these steps; every crash and failover path goes through it.
 """
 
 from __future__ import annotations
@@ -430,3 +431,50 @@ def verify_against_engine(state: RecoveredState, engine) -> list[str]:
         if engine.table(table).probe(key, None, 0) is not None:
             problems.append(f"{table} key {key}: committed delete not applied")
     return problems
+
+
+def restart(image, boot, dead_engine, injector=None):
+    """Restart a dead process from its log *image*.
+
+    *image* is already torn (``crash_image``) or is a failover winner's
+    ``log_image()``; restart draws no randomness.  *boot* returns a
+    freshly set-up ``(engine, retained log)``.  The sequence: replay,
+    boot, restore, reserve the heap slots of carried in-doubt inserts,
+    carry the txn-id counter, verify the round-trip, checkpoint the
+    recovered state into the new log, then attach *injector* if given.
+
+    Returns ``(state, engine, log, problems)``; *problems* are the
+    ``state-roundtrip:`` mismatches.
+    """
+    state = replay(image)
+    engine, log = boot()
+    restore_engine(state, engine)
+    # Pin the heap slots that carried in-doubt inserts name: the dead
+    # process assigned those row ids, and an eventual commit verdict
+    # redoes the insert there, so new transactions must not claim them.
+    for record in state.active_records:
+        if record.kind == "insert" and state.txn_status.get(record.txn_id) == PREPARED:
+            table, _key, row_id, _values = record.payload
+            heap = engine.table(table).heap
+            while heap.n_rows <= row_id:
+                heap.append(heap.schema.default_row(heap.n_rows))
+    # The log alone under-counts: a crashed txn whose records were all
+    # unflushed leaves no trace, and reusing its id would let a later
+    # commit impersonate it.  Carry the dead process's counter too.
+    engine._next_txn_id = max(
+        engine._next_txn_id,
+        dead_engine._next_txn_id,
+        max(state.txn_status, default=0) + 1,
+    )
+    problems = [f"state-roundtrip: {p}" for p in verify_against_engine(state, engine)]
+    # Seed the new log so the next crash replays from here.  In-flight
+    # transactions died with the process and are not carried forward;
+    # in-doubt 2PC transactions and coordinator commit decisions are.
+    state.active_records = [
+        r for r in state.active_records
+        if r.kind == COORD_COMMIT or state.txn_status.get(r.txn_id) == PREPARED
+    ]
+    write_checkpoint(log, state)
+    if injector is not None:
+        engine.attach_injector(injector)
+    return state, engine, log, problems

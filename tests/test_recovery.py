@@ -7,7 +7,7 @@ import pytest
 from repro.engines.base import UserAbort
 from repro.engines.common import TableSpec
 from repro.engines.config import EngineConfig
-from repro.engines.registry import make_engine
+from repro.engines.registry import make_engine, retained_log
 from repro.faults import FaultInjector, FaultSpec, SimulatedCrash, WAL_AFTER_APPEND
 from repro.storage.recovery import (
     ABORTED,
@@ -15,7 +15,7 @@ from repro.storage.recovery import (
     COMMITTED,
     analyse,
     replay,
-    restore_engine,
+    restart,
     take_checkpoint,
     verify_against_engine,
 )
@@ -168,15 +168,29 @@ class TestAllEngines:
                 next_key += 1
             else:
                 engine.execute("p", lambda txn, k=key: txn.delete("t", k))
+        # A transaction in flight at the crash, with its records durable.
+        engine.begin().update("t", 11, "value", -1)
         log = engine.recovery_log()
         log.force()
-        state = replay(log.crash_image())
-        fresh = engine_with_log(system)
-        restore_engine(state, fresh)
-        assert verify_against_engine(state, fresh) == []
-        # The recovered engine agrees with the survivor row for row.
-        for (table, row_id), values in state.rows.items():
-            assert fresh.committed_row(table, row_id) == values
+        image = log.crash_image()
+
+        def boot():
+            fresh = engine_with_log(system)
+            return fresh, fresh.recovery_log()
+
+        for injector in (None, FaultInjector(seed=1)):
+            state, fresh, fresh_log, problems = restart(image, boot, engine, injector)
+            assert problems == []
+            # Single-node log: no in-doubt 2PC records to carry forward.
+            assert state.active_records == []
+            assert fresh_log.records[-1].kind == CHECKPOINT
+            assert fresh._next_txn_id > max(state.txn_status)
+            assert fresh._next_txn_id >= engine._next_txn_id
+            assert fresh.injector is injector
+            assert fresh_log.injector is injector
+            # The recovered engine agrees with the survivor row for row.
+            for (table, row_id), values in state.rows.items():
+                assert fresh.committed_row(table, row_id) == values
 
     def test_recovered_digest_deterministic(self):
         def digest():
@@ -189,6 +203,14 @@ class TestAllEngines:
             return replay(engine.recovery_log()).digest()
 
         assert digest() == digest()
+
+
+class TestRetainedLog:
+    def test_engine_without_a_log_is_rejected_by_name(self, monkeypatch):
+        engine = make_engine("hyper")
+        monkeypatch.setattr(engine, "recovery_log", lambda: None)
+        with pytest.raises(ValueError, match="HyPer exposes no recovery log"):
+            retained_log(engine)
 
 
 class TestMidCheckpointCrash:
