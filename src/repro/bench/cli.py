@@ -87,11 +87,15 @@ def _open_store(store_dir: Path | None):
     return RunStore(store_dir or DEFAULT_STORE_DIR)
 
 
-def _report_sanitizer(label: str) -> int:
-    """Print the armed sanitizer's verdict to stderr; non-zero on violations."""
+def _report_sanitizer(label: str, drained: dict[str, int] | None = None) -> int:
+    """Print the armed sanitizer's verdict to stderr; non-zero on violations.
+
+    *drained* is the run's merged ``rng_draws``: the counts its results
+    carry rather than the sanitizer's global tally.
+    """
     from repro.lint import sanitizer
 
-    print(f"[sanitize {label}: {sanitizer.summary()}]", file=sys.stderr)
+    print(f"[sanitize {label}: {sanitizer.summary(drained)}]", file=sys.stderr)
     if sanitizer.ok():
         return 0
     for violation in sanitizer.violations():
@@ -523,7 +527,7 @@ def _load_main(argv: list[str]) -> int:
         result = run_load(spec, jobs=_resolve_jobs(args.jobs))
         print(render_load_report(result))
         status = 0
-        if args.sanitize and _report_sanitizer("load"):
+        if args.sanitize and _report_sanitizer("load", result.rng_draws):
             status = 1
     from repro.store import load_run
 
@@ -850,7 +854,7 @@ def _figures_main(argv: list[str]) -> int:
     jobs = _resolve_jobs(args.jobs)
     ids = ALL_IDS if "all" in args.figures else args.figures
     status = 0
-    recorded_panels: list = []
+    panels: list = []
     # Like --obs, --sanitize must not change stdout: TrackedRandom draws
     # bit-identically and the verdict goes to stderr.
     with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
@@ -866,7 +870,7 @@ def _figures_main(argv: list[str]) -> int:
                 status = 2
                 continue
             if isinstance(output, list):
-                recorded_panels.extend(output)
+                panels.extend(output)
             if isinstance(output, str):
                 print(output)
             else:
@@ -881,18 +885,26 @@ def _figures_main(argv: list[str]) -> int:
                         for events in r.obs_buffers
                     )
                     print(f"[{figure_id}: {n_spans} span events recorded]", file=sys.stderr)
-            print(f"[{figure_id} regenerated in {wall_timer() - started:.1f}s]")
+            # The timing goes to stderr: stdout is a pure function of
+            # the seed, like every other subcommand's.
+            elapsed = wall_timer() - started
+            print(f"[{figure_id} regenerated in {elapsed:.1f}s]", file=sys.stderr)
             print()
-        if args.sanitize and _report_sanitizer("figures") and status == 0:
-            status = 1
-    if args.record and recorded_panels:
+        if args.sanitize:
+            drained: dict[str, int] = {}
+            for panel in panels:
+                for r in panel.cells.values():
+                    sanitizer.merge_draws(drained, r.rng_draws)
+            if _report_sanitizer("figures", drained) and status == 0:
+                status = 1
+    if args.record and panels:
         from repro.bench.perf import provenance
         from repro.store import figure_run
         from repro.util.clock import timestamp
 
         run_id = _open_store(args.store_dir).put(
             figure_run(
-                recorded_panels,
+                panels,
                 quick=args.quick,
                 created=timestamp(),
                 provenance=provenance(),

@@ -7,9 +7,8 @@ Two halves, one contract:
   suppression baseline (:mod:`repro.lint.baseline`), and the
   ``repro-lint`` CLI (:mod:`repro.lint.cli`); plus a whole-program
   layer — a cached deterministic call graph
-  (:mod:`repro.lint.callgraph`) feeding three interprocedural passes
-  (:mod:`repro.lint.taint`,
-  :mod:`repro.lint.units`, :mod:`repro.lint.streams`) orchestrated by
+  (:mod:`repro.lint.callgraph`) feeding two interprocedural passes
+  (:mod:`repro.lint.units`, :mod:`repro.lint.streams`) orchestrated by
   :mod:`repro.lint.passes`, with SARIF 2.1.0 output
   (:mod:`repro.lint.sarif`).
 * **Runtime**: the RNG-stream sanitizer (:mod:`repro.lint.sanitizer`)

@@ -1,8 +1,8 @@
 """The whole-program layer under the interprocedural passes.
 
 The single-file rule engine (:mod:`repro.lint.engine`) answers "is
-this line syntactically bad"; the project passes (taint, units,
-streams) need to answer "does this *flow* somewhere bad", which takes
+this line syntactically bad"; the project passes (units, streams)
+need to answer "does this *flow* somewhere bad", which takes
 a view of the whole program: which modules exist, which function each
 call site actually reaches, and what every function's summary looks
 like.  This module builds that view once and shares it:
@@ -18,8 +18,7 @@ like.  This module builds that view once and shares it:
   to project-qualified names where possible (``self.method`` through
   the class and its project-local bases, local functions, imported
   module functions).  Unresolved calls keep their dotted form so the
-  passes can still pattern-match stdlib targets (``time.time``,
-  ``os.urandom``).
+  passes can still pattern-match them by name (``child_rng``).
 * :class:`Project` — the call graph: modules in sorted-name order,
   functions in definition order, a global qualname index, and
   :meth:`Project.to_dict`, a fully sorted JSON-able dump used by the
@@ -48,13 +47,6 @@ from repro.lint.engine import (
     _collect_aliases,
     iter_python_files,
 )
-
-# Builtins that pass their arguments' taint/unit through unchanged.
-TRANSPARENT_CALLS = frozenset(
-    {"int", "float", "str", "bool", "abs", "round", "max", "min", "sum",
-     "sorted", "tuple", "list", "len"}
-)
-
 
 @dataclass
 class CallSite:
@@ -87,12 +79,6 @@ class FunctionInfo:
     @property
     def line(self) -> int:
         return self.node.lineno
-
-    def param_index(self, name: str) -> int | None:
-        try:
-            return self.params.index(name)
-        except ValueError:
-            return None
 
     def to_dict(self) -> dict:
         return {
@@ -343,7 +329,7 @@ class Project:
 
 
 class ProjectPass:
-    """Base class for whole-program passes (taint, units, streams)."""
+    """Base class for whole-program passes (units, streams)."""
 
     name: str = ""
     summary: str = ""

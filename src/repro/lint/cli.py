@@ -4,7 +4,7 @@ Usage::
 
     repro-lint [paths ...]                  # default: src
     repro-lint src tests --rules rng-factory,wall-clock
-    repro-lint src tests --passes taint,units
+    repro-lint src tests --passes units
     repro-lint src --update-baseline        # pin current findings
     repro-lint src --format sarif           # SARIF 2.1.0 on stdout
     repro-lint src --sarif-out report.sarif # ...and/or to a file
@@ -13,9 +13,9 @@ Usage::
     repro-lint src --dump-callgraph -       # the determinism surface
     python -m repro.lint src tests
 
-By default every file rule *and* every whole-program pass (taint,
-units, streams — see ``--list-passes``) runs; ``--passes``
-narrows to a subset, ``--passes none`` disables them.  Exit codes:
+By default every file rule *and* every whole-program pass (units,
+streams — see ``--list-passes``) runs; ``--passes`` narrows to a
+subset, ``--passes none`` disables them.  Exit codes:
 0 clean (modulo baseline), 1 findings, 2 usage error.  The baseline
 defaults to ``.repro-lint-baseline`` in the working directory and is
 only consulted when it exists; ``--no-baseline`` ignores it outright.

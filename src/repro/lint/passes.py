@@ -25,13 +25,12 @@ from repro.lint.engine import (
     _line_suppressed,
 )
 from repro.lint.streams import StreamsPass
-from repro.lint.taint import TaintPass
 from repro.lint.units import UnitsPass
 
 
 def default_passes() -> list[ProjectPass]:
     """Every registered project pass, in report order."""
-    return [TaintPass(), UnitsPass(), StreamsPass()]
+    return [UnitsPass(), StreamsPass()]
 
 
 def pass_names() -> list[str]:

@@ -260,8 +260,9 @@ def checked_merge(items, label: str):
     return items
 
 
-def summary() -> str:
-    """One line for the CLI: streams, draws, violations."""
-    total = sum(_draws.values())
+def summary(drained: dict[str, int] | None = None) -> str:
+    """One line for the CLI: streams, draws, violations.  *drained*
+    adds the counts a run already drained onto its results."""
+    draws = merge_draws(snapshot_draws(), drained or {})
     verdict = "ok" if ok() else f"{len(_violations)} violation(s)"
-    return f"sanitizer: {len(_draws)} stream(s), {total} draw(s), {verdict}"
+    return f"sanitizer: {len(draws)} stream(s), {sum(draws.values())} draw(s), {verdict}"

@@ -40,7 +40,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.callgraph import (
-    TRANSPARENT_CALLS,
     FunctionInfo,
     ModuleInfo,
     Project,
@@ -49,6 +48,12 @@ from repro.lint.callgraph import (
 from repro.lint.engine import Finding
 
 RULE = "unit-mismatch"
+
+# Builtins that pass their argument's unit through unchanged.
+TRANSPARENT_CALLS = frozenset(
+    {"int", "float", "str", "bool", "abs", "round", "max", "min", "sum",
+     "sorted", "tuple", "list", "len"}
+)
 
 # Names whose unit-like suffix does not declare a time unit.  Keep this
 # registry small and commented — every entry is a naming debt.

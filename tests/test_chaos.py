@@ -20,7 +20,6 @@ from repro.faults import (
     LOCK_ACQUIRE,
     TXN_BODY,
     invariant_names,
-    run_chaos_suite,
 )
 from repro.faults.chaos import default_workload_factories
 
@@ -201,20 +200,6 @@ class TestReplicatedChaos:
 
 
 class TestSuiteAndCLI:
-    def test_suite_parallel_report_bit_identical(self):
-        kwargs = dict(
-            systems=["shore-mt"], workloads=["micro"], quick=True, seed=5,
-            replicas=2, ack="quorum",
-        )
-        serial_text, serial_ok = run_chaos_suite(jobs=1, **kwargs)
-        # One cell cannot fan out; add the second workload for a real pool.
-        kwargs["workloads"] = ["micro", "tpcc"]
-        t1, ok1 = run_chaos_suite(jobs=1, **kwargs)
-        t2, ok2 = run_chaos_suite(jobs=2, **kwargs)
-        assert serial_ok and ok1 and ok2
-        assert t1 == t2  # --jobs N output byte-identical to serial
-        assert serial_text.splitlines()[0] in t1
-
     def test_cli_exits_nonzero_and_names_invariants_on_failure(self, monkeypatch, capsys):
         from repro.bench.cli import main
         from repro.faults import chaos as chaos_module

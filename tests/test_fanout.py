@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.faults.chaos import run_chaos_suite
 from repro.lint import sanitizer
-from repro.sharding import run_sharded_chaos_suite
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng
 
@@ -46,26 +44,3 @@ class TestOrderedMap:
         assert fanned_state[1], "a worker's cross-stream draw never reached the parent"
         assert fanned_state == serial_state
 
-
-def _single_node_suite(jobs):
-    return run_chaos_suite(
-        systems=["shore-mt"], workloads=["micro", "tpcc"], quick=True,
-        replicas=2, ack="quorum", jobs=jobs,
-    )
-
-
-def _sharded_suite(jobs):
-    return run_sharded_chaos_suite(n_shards=2, seeds=range(1, 3), n_txns=16, jobs=jobs)
-
-
-@pytest.mark.parametrize("suite", [_single_node_suite, _sharded_suite])
-def test_chaos_suite_sanitizer_summary_matches_serial(suite):
-    def run(jobs):
-        sanitizer.reset()
-        with sanitizer.sanitizing():
-            report = suite(jobs)
-        return report, sanitizer.summary()
-
-    serial, fanned = run(1), run(2)
-    assert "0 stream(s)" not in serial[1]
-    assert fanned == serial

@@ -23,7 +23,6 @@ from repro.lint.streams import (
     _local_strings,
     _is_child_rng,
 )
-from repro.lint.taint import TaintPass
 from repro.lint.units import UnitsPass
 from repro.util import timeunits
 
@@ -42,8 +41,8 @@ def pass_findings(fixture: str, pass_name: str | None = None):
 
 
 class TestPassCatalogue:
-    def test_three_passes_registered(self):
-        assert pass_names() == ["taint", "units", "streams"]
+    def test_two_passes_registered(self):
+        assert pass_names() == ["units", "streams"]
 
     def test_select_unknown_pass_raises(self):
         with pytest.raises(ValueError, match="unknown pass"):
@@ -54,7 +53,6 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize(
         "fixture,pass_name,rules",
         [
-            ("taint_launder_bad.py", "taint", {"taint-flow"}),
             ("stream_dup_bad.py", "streams", {"stream-purpose", "stream-scope"}),
             ("units_bad.py", "units", {"unit-mismatch"}),
         ],
@@ -67,7 +65,6 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize(
         "fixture",
         [
-            "taint_launder_good.py",
             "units_good.py",
             "stream_dup_good.py",
         ],
@@ -75,15 +72,6 @@ class TestFixtureCorpus:
     def test_good_fixture_is_clean_under_every_pass(self, fixture):
         findings = pass_findings(fixture)
         assert findings == [], [f.render() for f in findings]
-
-    def test_taint_laundering_is_interprocedural(self):
-        # One finding at the attribute store, one at the call frontier
-        # into the sinking helper parameter — neither is a direct
-        # time.time() line, which is the point.
-        findings = pass_findings("taint_launder_bad.py", "taint")
-        messages = " / ".join(f.message for f in findings)
-        assert "attribute store" in messages
-        assert "_commit" in messages
 
     def test_pragma_suppresses_pass_findings(self, tmp_path):
         bad = "def f(a_ns, b_ticks):\n    return a_ns + b_ticks\n"
@@ -118,8 +106,7 @@ class TestCallGraphDeterminism:
         env["PYTHONPATH"] = str(SRC)
         env["PYTHONHASHSEED"] = hashseed
         out = subprocess.run(
-            [sys.executable, "-m", "repro.lint", "src/repro/lint",
-             "--dump-callgraph", "-"],
+            [sys.executable, "-m", "repro.lint", "src", "--dump-callgraph", "-"],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True,
         )
         return out.stdout
@@ -136,11 +123,18 @@ class TestCallGraphDeterminism:
         assert first == second
         assert first["n_functions"] > 0
 
-    def test_calls_resolve_through_the_project(self):
-        project = build_project([FIXTURES / "taint_launder_bad.py"], PASS_CONFIG)
-        fn = project.functions["taint_launder_bad.Engine.calibrate"]
+    def test_calls_resolve_through_the_project(self, tmp_path):
+        mod = tmp_path / "engine_mod.py"
+        mod.write_text(
+            "def _offset():\n    return 1\n\n\n"
+            "class Engine:\n"
+            "    def calibrate(self):\n        return _offset() + self.tick()\n\n"
+            "    def tick(self):\n        return 0\n"
+        )
+        project = build_project([mod], PASS_CONFIG)
+        fn = project.functions["engine_mod.Engine.calibrate"]
         targets = {c.target for c in fn.calls if c.target}
-        assert "taint_launder_bad._now_offset" in targets
+        assert targets == {"engine_mod._offset", "engine_mod.Engine.tick"}
 
 
 class TestSarif:
@@ -290,12 +284,6 @@ class TestTimeunits:
 
 
 class TestPassNoiseControl:
-    def test_clock_module_itself_is_clean_under_taint(self):
-        findings = run_passes(
-            [SRC / "repro" / "util" / "clock.py"], [TaintPass()], LintConfig()
-        )
-        assert findings == [], [f.render() for f in findings]
-
     def test_streams_pass_ignores_test_files(self):
         # tests construct ad-hoc purposes freely; the pass only audits
         # sim modules.

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.report import render_latency_percentiles
-from repro.lint import sanitizer
 from repro.load import (
     ARRIVAL_PROCESSES,
     ArrivalSpec,
@@ -328,24 +327,6 @@ class TestDriver:
         point = result.points[0]
         assert point.aborted > 0
         assert point.committed > 0  # not everything dies
-
-    def test_serial_vs_jobs_bit_identical(self):
-        spec = quick_spec(
-            arrival=ArrivalSpec(n_clients=1_000_000, n_events=80, process="flash")
-        )
-        serial = run_load(spec, jobs=1)
-        fanned = run_load(spec, jobs=2)
-        assert serial.points == fanned.points
-        assert render_load_report(serial) == render_load_report(fanned)
-
-    def test_sanitized_matches_plain(self):
-        spec = quick_spec()
-        plain = run_load(spec)
-        with sanitizer.sanitizing(True):
-            sanitized = run_load(spec)
-        assert render_load_report(plain) == render_load_report(sanitized)
-        assert sanitized.rng_draws  # provenance was collected
-        assert sanitizer.ok()
 
     def test_replicated_backend_charges_fabric_ticks(self):
         spec = quick_spec(

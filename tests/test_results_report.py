@@ -126,9 +126,11 @@ class TestCLI:
         from repro.bench.cli import main
 
         assert main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
-        assert "regenerated" in out
+        captured = capsys.readouterr()
+        assert "Table 1" in captured.out
+        # Timing is host state: it goes to stderr, never stdout.
+        assert "regenerated" in captured.err
+        assert "regenerated" not in captured.out
 
     def test_unknown_figure_exit_code(self, capsys):
         from repro.bench.cli import main

@@ -250,3 +250,39 @@ class TestBitIdenticalRuns:
         assert sanitized.counters == plain.counters
         assert sanitized.measured_txns == plain.measured_txns
         assert sanitized.module_cycles == plain.module_cycles
+
+
+class TestCliSummary:
+    """The CLI's ``[sanitize ...]`` line counts the draws a run drained
+    onto its results (figure repetitions and load points drain theirs),
+    so it reports real counts rather than ``0 draw(s)``."""
+
+    def _summary(self, argv, label, capsys) -> str:
+        from repro.bench.cli import main
+
+        assert main([*argv, "--sanitize"]) == 0
+        err = capsys.readouterr().err
+        return next(
+            line for line in err.splitlines() if line.startswith(f"[sanitize {label}:")
+        )
+
+    def test_figure_summary_counts_every_repetition(self, capsys):
+        from repro.bench.figures import run_figure
+
+        with sanitizer.sanitizing():
+            panels = run_figure("fig1", quick=True)
+        drained: dict[str, int] = {}
+        for panel in panels:
+            for result in panel.cells.values():
+                sanitizer.merge_draws(drained, result.rng_draws)
+        assert drained
+        sanitizer.reset()
+        line = self._summary(["fig1", "--quick"], "figures", capsys)
+        assert f"{len(drained)} stream(s), {sum(drained.values())} draw(s), ok" in line
+
+    def test_load_summary_counts_every_point(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        line = self._summary(
+            ["load", "--clients", "200", "--events", "60", "--no-save"], "load", capsys
+        )
+        assert " 0 stream(s)" not in line and " 0 draw(s)" not in line, line
