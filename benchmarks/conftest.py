@@ -1,6 +1,7 @@
 """Shared machinery for the figure-regeneration benchmarks.
 
-Each ``test_bench_figNN.py`` regenerates one of the paper's figures via
+``test_bench_figures.py`` regenerates each of the paper's tables and
+figures (one parametrized bench per id in the figure table) via
 pytest-benchmark.  A figure run is seconds of simulation, so benches
 execute one round (``pedantic``), print the regenerated rows/series,
 and record the headline values in ``extra_info`` so the benchmark JSON

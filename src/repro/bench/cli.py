@@ -30,7 +30,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.figures import ALL_IDS, run_figure
+from repro.bench.figures import ALL_IDS, figure_key, run_figure, run_figures
 from repro.bench.report import render_figure
 from repro.util.clock import wall_timer
 
@@ -577,6 +577,22 @@ def _collect_obs_buffers(panels) -> list:
     return buffers
 
 
+def _known_ids(requested: list[str]) -> tuple[list[str], int]:
+    """The known figure ids of *requested* (``all`` = every id), and the
+    exit status: 2 when an unknown id was reported to stderr."""
+    status = 0
+    ids = []
+    for figure_id in ALL_IDS if "all" in requested else requested:
+        try:
+            figure_key(figure_id)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            status = 2
+        else:
+            ids.append(figure_id)
+    return ids, status
+
+
 def _trace_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench trace",
@@ -668,16 +684,9 @@ def _top_main(argv: list[str]) -> int:
 
     from repro.bench.report import render_topdown
 
-    jobs = _resolve_jobs(args.jobs)
-    ids = ALL_IDS if "all" in args.figures else args.figures
-    status = 0
-    for figure_id in ids:
-        try:
-            output = run_figure(figure_id, quick=args.quick, jobs=jobs)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            status = 2
-            continue
+    ids, status = _known_ids(args.figures)
+    outputs = run_figures(ids, quick=args.quick, jobs=_resolve_jobs(args.jobs))
+    for figure_id, output in zip(ids, outputs):
         if isinstance(output, str):
             print(f"{figure_id} has no per-cell counters to attribute", file=sys.stderr)
             continue
@@ -851,29 +860,21 @@ def _figures_main(argv: list[str]) -> int:
     from repro import obs
     from repro.lint import sanitizer
 
-    jobs = _resolve_jobs(args.jobs)
-    ids = ALL_IDS if "all" in args.figures else args.figures
-    status = 0
+    ids, status = _known_ids(args.figures)
     panels: list = []
     # Like --obs, --sanitize must not change stdout: TrackedRandom draws
     # bit-identically and the verdict goes to stderr.
     with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
-        for figure_id in ids:
-            started = wall_timer()
-            try:
-                # Figure output is bit-identical with or without --obs; the
-                # span tally goes to stderr so stdout stays comparable.
-                with obs.using_obs(True) if args.obs else nullcontext():
-                    output = run_figure(figure_id, quick=args.quick, jobs=jobs)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                status = 2
-                continue
-            if isinstance(output, list):
-                panels.extend(output)
+        started = wall_timer()
+        # Figure output is bit-identical with or without --obs; the span
+        # tally goes to stderr so stdout stays comparable.
+        with obs.using_obs(True) if args.obs else nullcontext():
+            outputs = run_figures(ids, quick=args.quick, jobs=_resolve_jobs(args.jobs))
+        for figure_id, output in zip(ids, outputs):
             if isinstance(output, str):
                 print(output)
             else:
+                panels.extend(output)
                 for panel in output:
                     print(render_figure(panel))
                     print()
@@ -885,16 +886,17 @@ def _figures_main(argv: list[str]) -> int:
                         for events in r.obs_buffers
                     )
                     print(f"[{figure_id}: {n_spans} span events recorded]", file=sys.stderr)
-            # The timing goes to stderr: stdout is a pure function of
-            # the seed, like every other subcommand's.
-            elapsed = wall_timer() - started
-            print(f"[{figure_id} regenerated in {elapsed:.1f}s]", file=sys.stderr)
             print()
+        # The timing goes to stderr: stdout is a pure function of the
+        # seed, like every other subcommand's.
+        elapsed = wall_timer() - started
+        print(f"[{len(ids)} figure(s) regenerated in {elapsed:.1f}s]", file=sys.stderr)
         if args.sanitize:
+            # Figures that view one experiment share its results: count
+            # each simulated cell's draws once.
             drained: dict[str, int] = {}
-            for panel in panels:
-                for r in panel.cells.values():
-                    sanitizer.merge_draws(drained, r.rng_draws)
+            for r in {id(r): r for panel in panels for r in panel.cells.values()}.values():
+                sanitizer.merge_draws(drained, r.rng_draws)
             if _report_sanitizer("figures", drained) and status == 0:
                 status = 1
     if args.record and panels:

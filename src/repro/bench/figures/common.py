@@ -1,27 +1,18 @@
-"""Shared builders for the per-figure regeneration modules.
+"""Cell configuration shared by the figure table, tests and benchmarks.
 
-Every figure in the paper is a sweep of (systems x one x-axis) reporting
-one metric; these helpers build those sweeps so each ``figNN`` module
-only states *what the figure varies*.
-
-Sweeps are built as a flat list of cells first and then dispatched
-through :func:`repro.bench.parallel.run_cells`, so an ambient ``--jobs``
-setting fans the independent cells (and their repetitions) out across
-worker processes.  Workloads are described with picklable
-:func:`~repro.bench.parallel.workload_spec` descriptors for exactly that
-reason.  Results are bit-identical to a serial run either way.
+The paper's axes (database sizes, rows per transaction, the 100 GB TPC
+scale, Section 7's systems and cores), its per-system engine
+configuration, and the :class:`~repro.bench.runner.RunSpec` of one
+figure cell.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.bench.parallel import CellTask, run_cells, workload_spec
-from repro.bench.results import FigureResult
 from repro.bench.runner import ExperimentRunner, RunResult, RunSpec
 from repro.engines.config import EngineConfig
-from repro.engines.registry import ALL_SYSTEMS, PAPER_LABELS, canonical_name
-from repro.storage.record import ColumnType, LONG
+from repro.engines.registry import PAPER_LABELS, canonical_name
 from repro.workloads.base import PAPER_DB_SIZES
 
 MICRO_SIZES = list(PAPER_DB_SIZES)  # ["1MB", "10MB", "10GB", "100GB"]
@@ -77,171 +68,3 @@ def run_cell(
 
 def labels(systems: list[str]) -> list[str]:
     return [PAPER_LABELS[canonical_name(s)] for s in systems]
-
-
-def fill_figure(
-    figure: FigureResult, keyed_cells: list[tuple[str, str, CellTask]]
-) -> FigureResult:
-    """Run *keyed_cells* ((system label, x, cell)) and add every result."""
-    results = run_cells([cell for _, _, cell in keyed_cells])
-    for (system_label, x, _), result in zip(keyed_cells, results):
-        figure.add(system_label, x, result)
-    return figure
-
-
-def micro_size_sweep(
-    figure_id: str,
-    title: str,
-    metric: str,
-    *,
-    read_write: bool,
-    quick: bool = False,
-    sizes: list[str] | None = None,
-    systems: list[str] | None = None,
-) -> FigureResult:
-    """Figures 1-3 / 20-22: database-size sweep of the micro-benchmark."""
-    sizes = sizes or MICRO_SIZES
-    systems = systems or list(ALL_SYSTEMS)
-    figure = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        metric=metric,
-        x_label="database size",
-        x_values=sizes,
-        systems=labels(systems),
-    )
-    keyed_cells = []
-    for system in systems:
-        for size in sizes:
-            workload = workload_spec(
-                "micro",
-                db_bytes=PAPER_DB_SIZES[size],
-                rows_per_txn=1,
-                read_write=read_write,
-            )
-            spec = cell_spec(
-                system, quick=quick, engine_config=engine_config_for(system, "micro")
-            )
-            keyed_cells.append(
-                (PAPER_LABELS[canonical_name(system)], size, CellTask(spec, workload))
-            )
-    return fill_figure(figure, keyed_cells)
-
-
-def micro_rows_sweep(
-    figure_id: str,
-    title: str,
-    metric: str,
-    *,
-    read_write: bool,
-    quick: bool = False,
-    rows_values: list[int] | None = None,
-    systems: list[str] | None = None,
-    column_type: ColumnType = LONG,
-    engine_config_fn: Callable[[str], EngineConfig] | None = None,
-) -> FigureResult:
-    """Figures 4-7 / 23-25: work-per-transaction sweep at 100 GB."""
-    rows_values = rows_values or ROWS_SWEEP
-    systems = systems or list(ALL_SYSTEMS)
-    figure = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        metric=metric,
-        x_label="rows per txn",
-        x_values=[str(r) for r in rows_values],
-        systems=labels(systems),
-    )
-    keyed_cells = []
-    for system in systems:
-        config = (
-            engine_config_fn(system) if engine_config_fn
-            else engine_config_for(system, "micro")
-        )
-        for rows in rows_values:
-            workload = workload_spec(
-                "micro",
-                db_bytes=TPC_DB_BYTES,
-                rows_per_txn=rows,
-                read_write=read_write,
-                column_type=column_type,
-            )
-            spec = cell_spec(system, quick=quick, engine_config=config)
-            keyed_cells.append(
-                (PAPER_LABELS[canonical_name(system)], str(rows), CellTask(spec, workload))
-            )
-    return fill_figure(figure, keyed_cells)
-
-
-def tpc_sweep(
-    figure_id: str,
-    title: str,
-    metric: str,
-    *,
-    benchmark: str,
-    quick: bool = False,
-    systems: list[str] | None = None,
-    n_cores: int = 1,
-) -> FigureResult:
-    """Figures 8-12 / 16-19: TPC-B or TPC-C at 100 GB scale."""
-    systems = systems or list(ALL_SYSTEMS)
-    figure = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        metric=metric,
-        x_label="benchmark",
-        x_values=[benchmark.upper().replace("TPC", "TPC-")],
-        systems=labels(systems),
-    )
-    x = figure.x_values[0]
-    keyed_cells = []
-    for system in systems:
-        workload = workload_spec(benchmark, db_bytes=TPC_DB_BYTES)
-        spec = cell_spec(
-            system,
-            quick=quick,
-            engine_config=engine_config_for(system, benchmark),
-            n_cores=n_cores,
-        )
-        keyed_cells.append(
-            (PAPER_LABELS[canonical_name(system)], x, CellTask(spec, workload))
-        )
-    return fill_figure(figure, keyed_cells)
-
-
-def multithreaded_sweep(
-    figure_id: str,
-    title: str,
-    metric: str,
-    *,
-    workload,
-    x_value: str,
-    quick: bool = False,
-    workload_kind: str = "micro",
-    systems: list[str] | None = None,
-) -> FigureResult:
-    """Figures 16-19: Section 7's one-worker-per-core runs.
-
-    *workload* is a picklable workload descriptor shared by every
-    system; *workload_kind* picks the per-system engine config.
-    """
-    systems = systems or list(MULTITHREADED_SYSTEMS)
-    figure = FigureResult(
-        figure_id=figure_id,
-        title=title,
-        metric=metric,
-        x_label="benchmark",
-        x_values=[x_value],
-        systems=labels(systems),
-    )
-    keyed_cells = []
-    for system in systems:
-        spec = cell_spec(
-            system,
-            quick=quick,
-            engine_config=engine_config_for(system, workload_kind),
-            n_cores=MULTITHREADED_CORES,
-        )
-        keyed_cells.append(
-            (PAPER_LABELS[canonical_name(system)], x_value, CellTask(spec, workload))
-        )
-    return fill_figure(figure, keyed_cells)

@@ -17,8 +17,7 @@ repeated with fresh seeds.  :func:`run_cells` flattens that grid into
 
 Workloads cross process boundaries as :class:`WorkloadSpec` descriptors
 — a picklable ``(kind, params)`` pair that builds the workload inside
-the worker — because the closures the figure modules historically used
-cannot be pickled.  A ``WorkloadSpec`` is itself callable, so it drops
+the worker — because closures cannot be pickled.  A ``WorkloadSpec`` is itself callable, so it drops
 into every API that expects a zero-argument workload factory.  Cells
 whose factory cannot be pickled run serially, never with an error.
 """

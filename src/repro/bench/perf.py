@@ -98,11 +98,10 @@ def bench_engine_txns_per_sec(*, n_txns: int = 3000) -> dict:
 
 def bench_figure_sweep(figures: list[str], *, jobs: int | None = None) -> dict:
     """Wall-clock for regenerating *figures* with --quick budgets."""
-    from repro.bench.figures import run_figure
+    from repro.bench.figures import run_figures
 
     started = perf_timer()
-    for figure_id in figures:
-        run_figure(figure_id, quick=True, jobs=jobs)
+    run_figures(figures, quick=True, jobs=jobs)
     elapsed = perf_timer() - started
     return {"figures": figures, "jobs": jobs or 1, "wall_s": elapsed}
 

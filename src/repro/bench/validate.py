@@ -65,7 +65,7 @@ def _increasing(values: list[float], slack: float = 0.02) -> bool:
 # -- per-figure criteria ------------------------------------------------------
 
 
-def _validate_ipc_size(figure: FigureResult) -> list[Check]:
+def ipc_size(figure: FigureResult) -> list[Check]:
     """Figures 1 / 20."""
     small, big = figure.x_values[0], figure.x_values[-1]
     return [
@@ -90,7 +90,7 @@ def _validate_ipc_size(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_stalls_size(figure: FigureResult) -> list[Check]:
+def stalls_size(figure: FigureResult) -> list[Check]:
     """Figures 2 / 21."""
     small, big = figure.x_values[0], figure.x_values[-1]
     checks = [
@@ -119,7 +119,7 @@ def _validate_stalls_size(figure: FigureResult) -> list[Check]:
     return checks
 
 
-def _validate_stalls_txn_100gb(figure: FigureResult) -> list[Check]:
+def stalls_txn_100gb(figure: FigureResult) -> list[Check]:
     """Figures 3 / 22."""
     x = figure.x_values[0]
     return [
@@ -142,7 +142,7 @@ def _validate_stalls_txn_100gb(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_ipc_rows(figure: FigureResult) -> list[Check]:
+def ipc_rows(figure: FigureResult) -> list[Check]:
     """Figures 4 / 23 (DBMS M's 100-row recovery is a known deviation)."""
     return [
         _check(figure, "VoltDB IPC declines with rows", lambda: _decreasing(
@@ -161,7 +161,7 @@ def _validate_ipc_rows(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_stalls_rows(figure: FigureResult) -> list[Check]:
+def stalls_rows(figure: FigureResult) -> list[Check]:
     """Figures 5 / 24."""
     first, last = figure.x_values[0], figure.x_values[-1]
     return [
@@ -185,7 +185,7 @@ def _validate_stalls_rows(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_stalls_txn_rows(figure: FigureResult) -> list[Check]:
+def stalls_txn_rows(figure: FigureResult) -> list[Check]:
     """Figures 6 / 25."""
     return [
         _check(figure, "LLC-D per txn grows ~linearly with rows", lambda: all(
@@ -207,7 +207,7 @@ def _validate_stalls_txn_rows(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_fig7(figure: FigureResult) -> list[Check]:
+def engine_share(figure: FigureResult) -> list[Check]:
     return [
         _check(figure, "engine share rises with rows for every system", lambda: all(
             _increasing(_series(figure, s), slack=1.0) for s in figure.systems
@@ -219,7 +219,7 @@ def _validate_fig7(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_tpc_ipc(figure: FigureResult) -> list[Check]:
+def tpc_ipc(figure: FigureResult) -> list[Check]:
     x = figure.x_values[0]
     checks = [
         _check(figure, "IPC stays in the sub-1.25 regime", lambda: all(
@@ -236,7 +236,7 @@ def _validate_tpc_ipc(figure: FigureResult) -> list[Check]:
     return checks
 
 
-def _validate_tpc_stalls(figure: FigureResult) -> list[Check]:
+def tpc_stalls(figure: FigureResult) -> list[Check]:
     x = figure.x_values[0]
     # TPC-B is instruction-dominated for every interpreted system; in
     # TPC-C the lean in-memory engines amortise their code so far that
@@ -266,7 +266,7 @@ def _validate_tpc_stalls(figure: FigureResult) -> list[Check]:
     return checks
 
 
-def _validate_fig12(figure: FigureResult) -> list[Check]:
+def tpcc_stalls_txn(figure: FigureResult) -> list[Check]:
     x = figure.x_values[0]
     return [
         _check(figure, "DBMS D's instruction stalls per txn are the highest", lambda: all(
@@ -280,7 +280,7 @@ def _validate_fig12(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_index_compilation(figure: FigureResult) -> list[Check]:
+def index_compilation(figure: FigureResult) -> list[Check]:
     """Figures 13 / 26 (micro) and 14 (TPC-C)."""
     hash_on, hash_off = "Hash w/ compilation", "Hash w/o compilation"
     bt_on, bt_off = "B-tree w/ compilation", "B-tree w/o compilation"
@@ -312,7 +312,7 @@ def _validate_index_compilation(figure: FigureResult) -> list[Check]:
     return checks
 
 
-def _validate_data_types(figure: FigureResult) -> list[Check]:
+def data_types(figure: FigureResult) -> list[Check]:
     """Figures 15 / 27."""
     strict = figure.figure_id == "Figure 15"
     margin = 0.0 if strict else 25.0
@@ -331,7 +331,7 @@ def _validate_data_types(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_multithreaded_ipc(figure: FigureResult) -> list[Check]:
+def multithreaded_ipc(figure: FigureResult) -> list[Check]:
     x = figure.x_values[0]
     return [
         _check(figure, "multi-threaded IPC stays below ~1", lambda: all(
@@ -340,7 +340,7 @@ def _validate_multithreaded_ipc(figure: FigureResult) -> list[Check]:
     ]
 
 
-def _validate_multithreaded_stalls(figure: FigureResult) -> list[Check]:
+def multithreaded_stalls(figure: FigureResult) -> list[Check]:
     x = figure.x_values[0]
     return [
         _check(figure, "instruction stalls still dominate the legacy systems", lambda: all(
@@ -350,53 +350,24 @@ def _validate_multithreaded_stalls(figure: FigureResult) -> list[Check]:
     ]
 
 
-_VALIDATORS: dict[str, Callable[[FigureResult], list[Check]]] = {
-    "Figure 1": _validate_ipc_size,
-    "Figure 20": _validate_ipc_size,
-    "Figure 2": _validate_stalls_size,
-    "Figure 21": _validate_stalls_size,
-    "Figure 3": _validate_stalls_txn_100gb,
-    "Figure 22": _validate_stalls_txn_100gb,
-    "Figure 4": _validate_ipc_rows,
-    "Figure 23": _validate_ipc_rows,
-    "Figure 5": _validate_stalls_rows,
-    "Figure 24": _validate_stalls_rows,
-    "Figure 6": _validate_stalls_txn_rows,
-    "Figure 25": _validate_stalls_txn_rows,
-    "Figure 7": _validate_fig7,
-    "Figure 8": _validate_tpc_ipc,
-    "Figure 10": _validate_tpc_ipc,
-    "Figure 9": _validate_tpc_stalls,
-    "Figure 11": _validate_tpc_stalls,
-    "Figure 12": _validate_fig12,
-    "Figure 13": _validate_index_compilation,
-    "Figure 26": _validate_index_compilation,
-    "Figure 14": _validate_index_compilation,
-    "Figure 15": _validate_data_types,
-    "Figure 27": _validate_data_types,
-    "Figure 16": _validate_multithreaded_ipc,
-    "Figure 17": _validate_multithreaded_ipc,
-    "Figure 18": _validate_multithreaded_stalls,
-    "Figure 19": _validate_multithreaded_stalls,
-}
-
-
 def validate_figure(figure: FigureResult) -> list[Check]:
-    """Run the acceptance criteria registered for one figure."""
-    validator = _VALIDATORS.get(figure.figure_id)
-    if validator is None:
+    """Run the acceptance criteria the figure table lists for one figure."""
+    from repro.bench.figures import FIGURES, View, figure_key
+
+    try:
+        view = FIGURES[figure_key(figure.figure_id)]
+    except KeyError:
         return []
-    return validator(figure)
+    return view.validator(figure) if isinstance(view, View) else []
 
 
 def validate_all(quick: bool = True, figure_ids: list[str] | None = None) -> list[Check]:
     """Regenerate figures and run every registered criterion."""
-    from repro.bench.figures import ALL_IDS, run_figure
+    from repro.bench.figures import ALL_IDS, run_figures
 
     ids = figure_ids or [i for i in ALL_IDS if i != "table1"]
     checks: list[Check] = []
-    for figure_id in ids:
-        result = run_figure(figure_id, quick=quick)
+    for result in run_figures(ids, quick=quick):
         if isinstance(result, str):
             continue
         for panel in result:

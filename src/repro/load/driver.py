@@ -116,8 +116,9 @@ class LoadSpec:
     multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS
     # Chaos-under-load: seeded fault windows merged into the timeline,
     # and the client-side resilience policy layer in front of the queue
-    # (see repro.load.resilience).  Either being set routes the point
-    # through the resilient replay loop.
+    # (see repro.load.resilience).  Every point runs the resilient
+    # replay loop; with both unset it opens no window, applies no
+    # policy, and the point carries no chaos accounting.
     chaos: ChaosLoadSpec | None = None
     resilience: ResilienceSpec | None = None
 
@@ -187,9 +188,9 @@ class LoadPointResult:
     # read/update/insert for scenario mixes, NewOrder/Payment/... for the
     # sharded backend's TPC-C mix.  Deterministic, so part of equality.
     ops: tuple[str, ...] = ()
-    # Chaos/resilience accounting (None on the classic path): fault
-    # windows, shed/retry/breaker counters, degraded-mode verdicts —
-    # deterministic, so part of equality.
+    # Chaos/resilience accounting (None unless the spec sets chaos or
+    # resilience): fault windows, shed/retry/breaker counters,
+    # degraded-mode verdicts — deterministic, so part of equality.
     chaos: ChaosPointStats | None = None
     rng_draws: dict = field(default_factory=dict, compare=False)
     obs_metrics: dict = field(default_factory=dict, compare=False)
@@ -479,49 +480,6 @@ def _make_backend(spec: LoadSpec, tag: str):
 # -- the scheduler ------------------------------------------------------------
 
 
-def _replay_timeline(
-    spec: LoadSpec, events: list[LoadEvent], backend
-) -> tuple[list[int], list[int], list[str], int, int, int]:
-    """Run the timeline through the queue; returns per-event delays.
-
-    ``servers`` virtual slots drain the queue; each request starts at
-    ``max(arrival, earliest free slot)`` — an M/G/c queue whose service
-    process is the simulated system itself.  Each event also records
-    its operation label (``backend.op_label``) so reports can split the
-    percentiles by transaction type.
-    """
-    server_free = [0] * spec.servers
-    queueing: list[int] = []
-    service: list[int] = []
-    ops: list[str] = []
-    committed = 0
-    aborted = 0
-    makespan = 0
-    next_key = backend.n_rows  # incremental-write keys: fresh, monotonic
-    for event in events:
-        slot = 0
-        for i in range(1, len(server_free)):
-            if server_free[i] < server_free[slot]:
-                slot = i
-        start = max(event.t_ns, server_free[slot])
-        if event.op == INSERT:
-            key = next_key
-            next_key += 1
-        else:
-            key = event.key
-        service_ns, ok = backend.execute(event, key)
-        server_free[slot] = start + service_ns
-        makespan = max(makespan, server_free[slot])
-        queueing.append(start - event.t_ns)
-        service.append(service_ns)
-        ops.append(backend.op_label(event))
-        if ok:
-            committed += 1
-        else:
-            aborted += 1
-    return queueing, service, ops, committed, aborted, makespan
-
-
 def probe_capacity(spec: LoadSpec) -> float:
     """Closed-loop capacity estimate: back-to-back txns on a fresh backend.
 
@@ -557,23 +515,21 @@ def probe_capacity(spec: LoadSpec) -> float:
 
 
 def run_load_point(spec: LoadSpec, multiplier: float, rate: float) -> LoadPointResult:
-    """One sweep point: module-level so worker processes can run it."""
+    """One sweep point: module-level so worker processes can run it.
+
+    Every point runs :func:`~repro.load.resilience.replay_resilient`,
+    the one queue simulator: ``servers`` virtual slots drain the queue
+    and each request starts at ``max(arrival, earliest free slot)`` — an
+    M/G/c queue whose service process is the simulated system itself.
+    """
     arrival = replace(spec.arrival, rate=rate)
     tag = f"x{multiplier:g}"
     events = build_timeline(arrival, spec.the_mix(), spec.n_rows, spec.seed, tag=tag)
     backend = _make_backend(spec, tag)
     horizon_ns = int(arrival.horizon_s() * NS_PER_S)
-    chaos_stats: ChaosPointStats | None = None
-    if spec.chaos is not None or spec.resilience is not None:
-        resilient = replay_resilient(spec, events, backend, tag, horizon_ns, TICK_NS)
-        queueing, service, ops = resilient.queueing, resilient.service, resilient.ops
-        committed, aborted = resilient.committed, resilient.aborted
-        makespan = resilient.makespan
-        chaos_stats = resilient.stats
-    else:
-        queueing, service, ops, committed, aborted, makespan = _replay_timeline(
-            spec, events, backend
-        )
+    replay = replay_resilient(spec, events, backend, tag, horizon_ns, TICK_NS)
+    queueing, service, ops = replay.queueing, replay.service, replay.ops
+    committed, aborted, makespan = replay.committed, replay.aborted, replay.makespan
     # Goodput over the virtual time it actually took: when the system
     # keeps up the makespan ~= horizon and achieved ~= offered; when
     # overloaded the makespan stretches and achieved pins at capacity.
@@ -596,7 +552,11 @@ def run_load_point(spec: LoadSpec, multiplier: float, rate: float) -> LoadPointR
         queueing_ns=tuple(queueing),
         service_ns=tuple(service),
         ops=tuple(ops),
-        chaos=chaos_stats,
+        chaos=(
+            replay.stats
+            if spec.chaos is not None or spec.resilience is not None
+            else None
+        ),
         rng_draws=sanitizer.drain_draws() if sanitizer.enabled() else {},
         obs_metrics=obs.drain_metrics(),
     )

@@ -16,11 +16,12 @@ not just saturation but *graceful degradation*:
   jittered_backoff` — the same schedule the replication and 2PC clients
   use), a deterministic circuit breaker, and queue-depth admission
   control (load shedding).
-* :func:`replay_resilient` — the resilient replay loop.  A pending-heap
-  ordered by ``(ready_ns, seq)`` replaces the driver's straight-line
-  event walk; everything stays a pure function of ``(seed, spec)``, so
-  sweeps are bit-identical serial vs ``--jobs N`` and sanitized vs
-  plain.
+* :func:`replay_resilient` — the driver's one replay loop.  A
+  pending-heap ordered by ``(ready_ns, seq)`` serves the events; with
+  no fault windows and the default :class:`ResilienceSpec` it serves
+  them in timeline order, a plain M/G/c queue.  Everything stays a pure
+  function of ``(seed, spec)``, so sweeps are bit-identical serial vs
+  ``--jobs N`` and sanitized vs plain.
 
 Fault semantics (all request-observed: a window's effect lands on the
 requests whose service overlaps it — an idle window degrades nobody):

@@ -1,18 +1,26 @@
-"""Tests for the shared figure builders."""
+"""Tests for the figure table: experiments, the grid, and shared cells."""
 
 import pytest
 
+from repro.bench import figures
+from repro.bench.figures import (
+    ALL_IDS,
+    MICRO_ROWS_RW,
+    MICRO_SIZE_RO,
+    MULTITHREADED_TPCC,
+    TPCB,
+    grid,
+    run_figure,
+    run_figures,
+)
 from repro.bench.figures.common import (
     MICRO_SIZES,
     MULTITHREADED_SYSTEMS,
     ROWS_SWEEP,
     engine_config_for,
     labels,
-    micro_rows_sweep,
-    micro_size_sweep,
-    tpc_sweep,
 )
-from repro.bench.results import IPC, STALLS_PER_KI
+from repro.bench.parallel import run_cells, workload_spec
 
 
 class TestConfiguration:
@@ -39,27 +47,70 @@ class TestConfiguration:
 
 
 class TestSweepBuilders:
+    """The one grid function over the declared experiments."""
+
     def test_micro_size_sweep_structure(self):
-        fig = micro_size_sweep(
-            "T", "t", IPC, read_write=False, quick=True,
-            sizes=["1MB"], systems=["hyper"],
+        keyed = grid(MICRO_SIZE_RO, quick=True)
+        assert [(s, x) for s, x, _ in keyed[:4]] == [("Shore-MT", size) for size in MICRO_SIZES]
+        assert len(keyed) == 20  # system-major: 5 systems x 4 sizes
+        [(system, x, cell)] = grid(
+            MICRO_SIZE_RO, quick=True, systems=("hyper",), x_values=("1MB",)
         )
-        assert fig.x_values == ["1MB"]
-        assert fig.systems == ["HyPer"]
-        assert 0 < fig.value("HyPer", "1MB") < 4
+        assert (system, x) == ("HyPer", "1MB")
+        assert cell.workload == workload_spec(
+            "micro", db_bytes=1 << 20, rows_per_txn=1, read_write=False
+        )
+        assert 0 < run_cells([cell])[0].ipc < 4
 
     def test_micro_rows_sweep_structure(self):
-        fig = micro_rows_sweep(
-            "T", "t", STALLS_PER_KI, read_write=True, quick=True,
-            rows_values=[1], systems=["voltdb"],
+        [(system, x, cell)] = grid(
+            MICRO_ROWS_RW, quick=True, systems=("voltdb",), x_values=("1",)
         )
-        assert fig.x_values == ["1"]
-        b = fig.breakdown("VoltDB", "1")
-        assert b.total > 0
+        assert (system, x) == ("VoltDB", "1")
+        assert dict(cell.workload.params)["read_write"] is True
+        assert run_cells([cell])[0].stalls_per_kilo_instruction.total > 0
 
     def test_tpc_sweep_structure(self):
-        fig = tpc_sweep(
-            "T", "t", IPC, benchmark="tpcb", quick=True, systems=["dbms-m"]
-        )
-        assert fig.x_values == ["TPC-B"]
-        assert 0 < fig.value("DBMS M", "TPC-B") < 4
+        [(system, x, cell)] = grid(TPCB, quick=True, systems=("dbms-m",))
+        assert (system, x) == ("DBMS M", "TPC-B")
+        assert 0 < run_cells([cell])[0].ipc < 4
+
+    def test_multithreaded_grid_runs_four_cores(self):
+        keyed = grid(MULTITHREADED_TPCC)
+        assert [s for s, _, _ in keyed] == labels(MULTITHREADED_SYSTEMS)
+        assert all(cell.spec.n_cores == 4 for _, _, cell in keyed)
+        dbms_m = keyed[-1][2]
+        assert dbms_m.spec.engine_config == engine_config_for("dbms-m", "tpcc")
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Record every cell list handed to run_cells, without simulating."""
+    calls = []
+
+    def fake_run_cells(cells):
+        calls.append(list(cells))
+        return [f"result-{i}" for i in range(len(cells))]
+
+    monkeypatch.setattr(figures, "run_cells", fake_run_cells)
+    return calls
+
+
+class TestSharedCells:
+    def test_fig1_to_fig3_submit_each_cell_once(self, submitted):
+        run_figures(["fig1", "fig2", "fig3"], quick=True)
+        assert [len(cells) for cells in submitted] == [20]  # not 20 + 20 + 5
+
+    def test_all_quick_simulates_106_distinct_cells(self, submitted):
+        run_figures(ALL_IDS, quick=True)
+        [cells] = submitted
+        assert len(cells) == len(set(cells)) == 106  # 254 cells across the views
+
+    @pytest.mark.parametrize(
+        "group, figure_id",
+        [(["fig1", "fig3"], "fig3"), (["fig4", "fig7"], "fig7")],
+        ids=["x-subset", "system-subset"],
+    )
+    def test_grouped_panels_equal_separate_runs(self, group, figure_id):
+        grouped = run_figures(group, quick=True)[group.index(figure_id)]
+        assert grouped == run_figure(figure_id, quick=True)

@@ -32,6 +32,8 @@ PINNED = [
     # Shore-MT TPC-C's L2D and total cells moved with the hash seed
     # while LockManager.release_all iterated a set.
     "fig12 --quick",
+    # Two views of one experiment, one of them an x-value subset.
+    "fig2 fig3 --quick",
     "chaos --quick",
     f"{CHAOS_REPLICATED} async",
     f"{CHAOS_REPLICATED} sync-one",

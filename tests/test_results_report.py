@@ -97,28 +97,35 @@ class TestRendering:
 
 class TestRegistry:
     def test_all_figures_registered(self):
-        from repro.bench.figures import ALL_IDS, REGISTRY
+        from repro.bench.figures import ALL_IDS, FIGURES
 
         assert len(ALL_IDS) == 29  # table1 + fig1..fig28
-        assert "table1" in REGISTRY
+        assert "table1" in FIGURES
 
     def test_id_normalisation(self):
-        from repro.bench.figures import load
+        from repro.bench.figures import FIGURES, figure_key
 
-        assert load("fig1") is load("fig01")
-        assert load("Figure 1") is load("fig1")
+        entry = FIGURES[figure_key("fig1")]
+        assert FIGURES[figure_key("fig01")] is entry
+        assert FIGURES[figure_key("Figure 1")] is entry
 
     def test_unknown_figure(self):
-        from repro.bench.figures import load
+        from repro.bench.figures import figure_key
 
         with pytest.raises(KeyError):
-            load("fig99")
+            figure_key("fig99")
 
-    def test_every_figure_module_importable_with_run(self):
-        from repro.bench.figures import ALL_IDS, load
+    def test_every_id_has_an_entry(self):
+        from repro.bench.figures import ALL_IDS, FIGURES, View
 
         for figure_id in ALL_IDS:
-            assert callable(load(figure_id).run)
+            entry = FIGURES[figure_id]
+            if isinstance(entry, View):
+                assert callable(entry.validator)
+                assert set(entry.systems) <= set(entry.experiment.systems)
+                assert set(entry.x_values) <= set(entry.experiment.x_values)
+            else:
+                assert callable(entry)
 
 
 class TestCLI:
