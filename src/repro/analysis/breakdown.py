@@ -21,6 +21,7 @@ from repro.core.machine import (
     M_INSTR,
     Machine,
 )
+from repro.core.profiler import Profiler
 from repro.engines.registry import boot_engine
 from repro.util.rng import root_rng
 
@@ -59,44 +60,29 @@ def profile_modules(
     for _ in range(warmup_txns):
         procedure, body = workload.next_transaction(rng)
         machine.run_trace(engine.execute(procedure, body))
-    snapshot = machine.snapshot_module_stats()
+    profiler = Profiler(machine)
+    profiler.start_window()
     for _ in range(measure_txns):
         procedure, body = workload.next_transaction(rng)
         machine.run_trace(engine.execute(procedure, body))
+    window = profiler.end_window()
 
-    cycles_by_mod = _window_cycles(machine, snapshot)
     layout = engine.layout
-    profiles = []
-    for mod, row in machine.module_stats.items():
-        base = snapshot.get(mod, [0] * len(row))
-        delta = [a - b for a, b in zip(row, base)]
-        profiles.append(
-            ModuleProfile(
-                name=layout.name_of(mod),
-                group=layout.group_of(mod),
-                instructions=int(delta[M_INSTR]),
-                l1i_misses=int(delta[M_IF_L1M]),
-                llci_misses=int(delta[M_IF_LLCM]),
-                l1d_misses=int(delta[M_D_L1M]),
-                llcd_misses=int(delta[M_D_LLCM]),
-                cycles=cycles_by_mod.get(mod, 0.0),
-            )
+    profiles = [
+        ModuleProfile(
+            name=layout.name_of(mod),
+            group=layout.group_of(mod),
+            instructions=int(row[M_INSTR]),
+            l1i_misses=int(row[M_IF_L1M]),
+            llci_misses=int(row[M_IF_LLCM]),
+            l1d_misses=int(row[M_D_L1M]),
+            llcd_misses=int(row[M_D_LLCM]),
+            cycles=window.module_cycles.get(mod, 0.0),
         )
+        for mod, row in window.module_rows.items()
+    ]
     profiles.sort(key=lambda p: -p.cycles)
     return profiles
-
-
-def _window_cycles(machine: Machine, snapshot) -> dict[int, float]:
-    current = machine.module_stats
-    delta_rows = {}
-    for mod, row in current.items():
-        base = snapshot.get(mod)
-        delta_rows[mod] = list(row) if base is None else [a - b for a, b in zip(row, base)]
-    machine.module_stats = delta_rows
-    try:
-        return machine.module_cycles()
-    finally:
-        machine.module_stats = current
 
 
 def render_breakdown(profiles: list[ModuleProfile]) -> str:

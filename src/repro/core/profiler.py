@@ -25,10 +25,16 @@ from repro.core.machine import Machine
 
 @dataclass
 class ProfileWindow:
-    """Counters and module attribution accumulated inside one window."""
+    """Counters and module attribution accumulated inside one window.
+
+    ``module_rows`` holds each module's counter-row delta over the
+    window (indexed like :attr:`Machine.module_stats` rows);
+    ``module_cycles`` the cycles the machine's model attributes to them.
+    """
 
     per_core: list[PerfCounters]
     module_cycles: dict[int, float] = field(default_factory=dict)
+    module_rows: dict[int, list[int]] = field(default_factory=dict)
 
     def counters(self, cores: list[int] | None = None) -> PerfCounters:
         """Aggregate counters over *cores* (all cores when None)."""
@@ -69,13 +75,17 @@ class Profiler:
         per_core = [
             cur.delta(start) for cur, start in zip(self.machine.counters, self._start)
         ]
-        window_modules = self._module_delta(self._start_modules)
+        module_rows, module_cycles = self._module_delta(self._start_modules)
         self._start = None
         self._start_modules = None
-        return ProfileWindow(per_core=per_core, module_cycles=window_modules)
+        return ProfileWindow(
+            per_core=per_core, module_cycles=module_cycles, module_rows=module_rows
+        )
 
-    def _module_delta(self, start: dict[int, list[int]]) -> dict[int, float]:
-        """Module cycles attributable to the window only."""
+    def _module_delta(
+        self, start: dict[int, list[int]]
+    ) -> tuple[dict[int, list[int]], dict[int, float]]:
+        """Module counter rows and cycles attributable to the window only."""
         # Temporarily swap in delta rows and reuse the machine's
         # attribution model so window and full-run cycles agree.
         machine = self.machine
@@ -86,6 +96,6 @@ class Profiler:
             delta_rows[mod] = list(row) if base is None else [a - b for a, b in zip(row, base)]
         machine.module_stats = delta_rows
         try:
-            return machine.module_cycles()
+            return delta_rows, machine.module_cycles()
         finally:
             machine.module_stats = current

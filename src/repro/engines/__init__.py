@@ -17,6 +17,7 @@ from repro.engines.registry import (
     IN_MEMORY,
     PAPER_LABELS,
     boot_engine,
+    boot_node,
     canonical_name,
     make_engine,
     retained_log,
@@ -48,6 +49,7 @@ __all__ = [
     "VoltDBEngine",
     "VoltDBTransaction",
     "boot_engine",
+    "boot_node",
     "canonical_name",
     "index_hot_regions",
     "make_engine",

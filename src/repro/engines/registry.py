@@ -81,3 +81,13 @@ def retained_log(engine: Engine, group_commit_size: int | None = None):
     if group_commit_size is not None:
         log.group_commit_size = group_commit_size
     return log
+
+
+def boot_node(system: str, config: EngineConfig | None, workload, group_commit_size=None):
+    """What a node boots: a newly booted engine and its :func:`retained_log`.
+
+    Returns ``(engine, log)``; bind the arguments (``functools.partial``)
+    to get the zero-argument boot a node and ``restart`` take.
+    """
+    engine = boot_engine(system, config, workload)
+    return engine, retained_log(engine, group_commit_size)

@@ -4,9 +4,9 @@ This is the one chaos harness: the at-hit table, the segment driver
 (:func:`drive_segments`) and the suite routine (:func:`run_suite`)
 serve every protocol.  A protocol supplies a *target* —
 ``attach_injector``, ``step(txn_rng) -> committed``, ``checkpoint`` —
-plus its final invariants, result type and report.  Targets: a bare
-engine and a ``ReplicationGroup`` (here) and a sharded cluster
-(:mod:`repro.sharding.chaos`).
+plus its final invariants, result type and report.  Targets: a node,
+either a ``SingleNode`` or a ``ReplicationGroup`` (here), and a sharded
+cluster (:mod:`repro.sharding.chaos`).
 
 :class:`ChaosRunner` is the fault-injection sibling of
 :class:`repro.bench.runner.ExperimentRunner`: instead of measuring, it
@@ -32,7 +32,7 @@ commit record had not flushed may be lost wholesale — that is permitted;
 what must never happen is a *partial* transaction surviving.
 
 With ``replicas > 0`` the runner drives a
-:class:`repro.replication.ReplicationGroup` instead of a bare engine:
+:class:`repro.replication.ReplicationGroup` instead of a ``SingleNode``:
 transactions go through the replicated submit path (WAL shipping plus
 the spec's ack mode), the fault schedule additionally breaks the
 *network* (drop / delay / duplicate / reorder / partition at the
@@ -55,16 +55,12 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import obs
 from repro.engines.base import COMMITTED, EngineStats
 from repro.engines.config import EngineConfig
-from repro.engines.registry import (
-    ALL_SYSTEMS,
-    boot_engine,
-    canonical_name,
-    retained_log,
-)
+from repro.engines.registry import ALL_SYSTEMS, boot_node, canonical_name
 from repro.faults.injector import (
     ABORT,
     CRASH,
@@ -85,13 +81,8 @@ from repro.faults.injector import (
 )
 from repro.faults.invariants import tpcc_invariants
 from repro.lint import sanitizer
-from repro.replication import ACK_MODES, ReplicationGroup, ReplicationSpec
-from repro.storage.recovery import (
-    replay,
-    restart,
-    take_checkpoint,
-    verify_against_engine,
-)
+from repro.replication import ACK_MODES, ReplicationGroup, ReplicationSpec, SingleNode
+from repro.storage.recovery import replay, take_checkpoint, verify_against_engine
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng, root_rng
 from repro.workloads.microbench import MicroBenchmark
@@ -261,9 +252,11 @@ class ChaosSpec:
 class CrashReport:
     """What one injected crash did and how recovery fared.
 
-    A replicated run's primary crash produces the same report with the
-    failover fields filled in: ``winner_id`` is the replica whose log
-    was replayed, ``epoch`` the epoch that crash ended.
+    Every crash is a node failover, reported from its
+    :class:`~repro.replication.FailoverReport`.  A replicated run fills
+    the winner fields in: ``winner_id`` is the replica whose log was
+    replayed, ``epoch`` the epoch that crash ended; a single node leaves
+    them ``None`` and 0.
     """
 
     txn_index: int  # 1-based index of the transaction that died
@@ -278,7 +271,7 @@ class CrashReport:
     state_digest: int
     problems: list[str] = field(default_factory=list)
     winner_id: int | None = None
-    winner_lsn: int = 0
+    winner_lsn: int | None = None
     epoch: int = 0
 
 
@@ -378,19 +371,20 @@ class ChaosRunner:
 
     def _run(self) -> ChaosResult:
         spec = self.spec
-        target = _GroupTarget(self) if spec.replicas > 0 else _EngineTarget(self)
+        target = _NodeTarget(self)
+        node = target.node
         _, fired = drive_segments(
             target,
             spec,
-            [(point, CRASH) for point in self._point_pool(target.engine)],
+            [(point, CRASH) for point in self._point_pool(node.engine)],
             net=spec.replicas > 0,
             abort_probability=spec.abort_probability,
         )
         # Clean shutdown: force the log, replay it, and compare the
         # recovered state against the live engine.
-        engine = target.engine
-        target.log.force()
-        final_state = replay(target.log)
+        engine = node.engine
+        node.log.force()
+        final_state = replay(node.log)
         final_problems = self._named_problems(final_state, engine)
         extra_problems, replication = target.finish(final_state)
         final_problems.extend(extra_problems)
@@ -410,155 +404,96 @@ class ChaosRunner:
         )
 
 
-class _EngineTarget:
-    """A bare engine; a crash restarts it through :meth:`_recover`.
-
-    The restart is :func:`repro.storage.recovery.restart` with no
-    injector: the restarted engine runs the rest of its segment with no
-    faults armed, so an abort storm ends at the first restart; the chaos
-    digests pin this.  Every other restart path re-attaches its injector.
-    """
+class _NodeTarget:
+    """A node — a :class:`SingleNode` or a :class:`ReplicationGroup` —
+    whose crash runs :meth:`failover`: a single node tears its own log
+    and restarts, a group elects and replays a replica.  Either way the
+    restarted primary gets the segment's injector back."""
 
     def __init__(self, runner: ChaosRunner) -> None:
         self.runner = runner
+        spec = runner.spec
+        boot = partial(
+            boot_node, spec.system, spec.resolved_config(), runner.workload,
+            spec.group_commit_size,
+        )
+        if spec.replicas > 0:
+            self.node = ReplicationGroup(spec.replication_spec(), boot, seed=spec.seed)
+        else:
+            # Crash-image draws (how much of the unflushed tail survives)
+            # get their own child stream, so the fault-schedule stream is
+            # consumed by schedule draws only.
+            self.node = SingleNode(boot, child_rng(spec.seed, "image"))
+        self.attach_injector = self.node.attach_injector
         self.total = EngineStats()
         self.crashes: list[CrashReport] = []
         self.attempted = 0
-        self._start()
-
-    def _start(self) -> None:
-        self.engine, self.log = self._boot()
-        # Crash-image draws (how much of the unflushed tail survives)
-        # get their own child stream, so the fault-schedule stream is
-        # consumed by schedule draws only.
-        self.image_rng = child_rng(self.runner.spec.seed, "image")
-
-    def _boot(self):
-        spec = self.runner.spec
-        engine = boot_engine(spec.system, spec.resolved_config(), self.runner.workload)
-        return engine, retained_log(engine, spec.group_commit_size)
-
-    def attach_injector(self, injector) -> None:
-        self.engine.attach_injector(injector)
 
     def step(self, txn_rng: random.Random) -> bool:
         with sanitizer.scope("workload"):
             procedure, body = self.runner.workload.next_transaction(txn_rng)
         self.attempted += 1
         try:
-            self._submit(procedure, body)
+            outcome = self.node.submit(procedure, body)
         except SimulatedCrash as crash:
             self.crashes.append(self._recover(crash))
             return False
-        return self.engine.last_outcome == COMMITTED
+        return outcome == COMMITTED
 
     def checkpoint(self) -> None:
         try:
-            take_checkpoint(self.log, truncate=True)
-            self._ship()
+            take_checkpoint(self.node.log, truncate=True)
+            self.node.ship()
         except SimulatedCrash as crash:
             self.crashes.append(self._recover(crash))
 
-    def _submit(self, procedure: str, body) -> None:
-        self.engine.execute(procedure, body)
-
-    def _ship(self) -> None:
-        pass
-
     def _recover(self, crash: SimulatedCrash) -> CrashReport:
-        """Tear the dead engine's log, restart, check the invariants."""
+        """Fail the node over, then check the workload invariants."""
         runner = self.runner
         with obs.span(
             "chaos.recover", track="chaos", cat="faults",
             point=crash.point, hit=crash.hit, txn_index=self.attempted,
         ) as recover_span:
-            self.total.merge(self.engine.stats)
-            with sanitizer.scope("image"):
-                image = self.engine.recovery_log().crash_image(self.image_rng)
-            state, self.engine, self.log, problems = restart(
-                image, self._boot, self.engine
-            )
+            self.total.merge(self.node.engine.stats)
+            state, report = self.node.failover()
+            problems = list(report.problems)
             problems.extend(
                 f"tpcc-consistency: {p}"
-                for p in runner._workload_invariants(self.engine)
+                for p in runner._workload_invariants(self.node.engine)
             )
             recover_span.set(
-                lost_records=image.lost_records,
-                torn_tail=image.torn_tail,
+                lost_records=report.lost_records,
+                torn_tail=report.torn_tail,
                 problems=len(problems),
             )
             obs.inc("chaos.recoveries", system=runner.spec.system)
-        return self._report(
-            crash, state, lost_records=image.lost_records,
-            torn_tail=image.torn_tail, state_digest=state.digest(), problems=problems,
-        )
-
-    def finish(self, final_state) -> tuple[list[str], dict]:
-        """Extra final problems, and the result's replication fields."""
-        return [], {}
-
-    def _report(self, crash: SimulatedCrash, state, **fields) -> CrashReport:
         return CrashReport(
             txn_index=self.attempted,
             point=crash.point,
             hit=crash.hit,
+            lost_records=report.lost_records,
+            torn_tail=report.torn_tail,
             truncated_records=state.truncated_records,
             redo_applied=state.redo_applied,
             undo_applied=state.undo_applied,
             checkpoint_lsn=state.checkpoint_lsn,
-            **fields,
-        )
-
-
-class _GroupTarget(_EngineTarget):
-    """A :class:`ReplicationGroup`; a primary crash fails over and the
-    new primary gets the segment's injector back."""
-
-    def _start(self) -> None:
-        spec = self.runner.spec
-        self.group = ReplicationGroup(spec.replication_spec(), self._boot, seed=spec.seed)
-
-    @property
-    def engine(self):
-        return self.group.engine
-
-    @property
-    def log(self):
-        return self.group.log
-
-    def attach_injector(self, injector) -> None:
-        self.group.attach_injector(injector)
-
-    def _submit(self, procedure: str, body) -> None:
-        self.group.submit(procedure, body)
-
-    def _ship(self) -> None:
-        self.group.ship()
-
-    def _recover(self, crash: SimulatedCrash) -> CrashReport:
-        """The replicated restart path: elect, replay the winner, verify."""
-        self.total.merge(self.engine.stats)
-        state, outcome = self.group.failover()
-        problems = list(outcome.problems)
-        problems.extend(
-            f"tpcc-consistency: {p}"
-            for p in self.runner._workload_invariants(self.engine)
-        )
-        obs.inc("chaos.failovers", system=self.runner.spec.system)
-        return self._report(
-            crash, state, lost_records=outcome.lost_records, torn_tail=False,
-            state_digest=outcome.state_digest, problems=problems,
-            winner_id=outcome.winner_id, winner_lsn=outcome.winner_lsn,
-            epoch=outcome.epoch,
+            state_digest=report.state_digest,
+            problems=problems,
+            winner_id=report.winner_id,
+            winner_lsn=report.winner_lsn,
+            epoch=report.epoch,
         )
 
     def finish(self, final_state) -> tuple[list[str], dict]:
         """Heal any partition, drive replicas to the primary's tip, and
-        check the cross-node invariants."""
-        group = self.group
-        group.final_sync()
-        problems = group.convergence_problems()
-        for txn_id, lsn in sorted(group.acked.items()):
+        check the cross-node invariants.  Returns the extra final
+        problems and the result's replication fields."""
+        node = self.node
+        node.final_sync()
+        problems = node.convergence_problems()
+        if not node.replicas:
+            return problems, {}
+        for txn_id, lsn in sorted(node.acked.items()):
             status = final_state.txn_status.get(txn_id)
             if status is not None and status != COMMITTED:
                 problems.append(
@@ -566,10 +501,10 @@ class _GroupTarget(_EngineTarget):
                     f"replayed as {status} at shutdown"
                 )
         return problems, dict(
-            acked=group.acked_count,
-            unacked=group.unacked_count,
-            replica_digests=group.replica_digests(),
-            net_counters=dict(group.net.counters),
+            acked=node.acked_count,
+            unacked=node.unacked_count,
+            replica_digests=node.replica_digests(),
+            net_counters=dict(node.net.counters),
         )
 
 

@@ -28,8 +28,9 @@ Layering:
   scenario files of the sqlite-performance repo) with Zipf hot-key
   skew;
 * :mod:`repro.load.driver` — the open-loop event-queue scheduler:
-  replays the timeline against a plain engine, a
-  :class:`~repro.replication.group.ReplicationGroup`, or a
+  replays the timeline against a node (a
+  :class:`~repro.replication.group.SingleNode` or a
+  :class:`~repro.replication.group.ReplicationGroup`) or a
   :class:`~repro.sharding.cluster.ShardedCluster`, tracking queueing
   delay separately from service time;
 * :mod:`repro.load.report` — nearest-rank latency percentiles

@@ -1,8 +1,9 @@
 """The open-loop event-queue scheduler.
 
 Replays a merged arrival timeline (see :mod:`repro.load.arrivals`)
-against a backend — a plain engine, a
-:class:`~repro.replication.group.ReplicationGroup`, or a
+against a backend — a node (a
+:class:`~repro.replication.group.SingleNode` or a
+:class:`~repro.replication.group.ReplicationGroup`) or a
 :class:`~repro.sharding.cluster.ShardedCluster` — on a single
 virtual-time axis:
 
@@ -33,6 +34,7 @@ submission order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro import obs
 from repro.bench.runner import prewarm_llc
@@ -40,11 +42,10 @@ from repro.core.machine import Machine
 from repro.core.spec import IVY_BRIDGE
 from repro.engines.base import COMMITTED
 from repro.engines.config import EngineConfig
-from repro.engines.registry import boot_engine, retained_log
+from repro.engines.registry import boot_node
 from repro.faults.injector import (
     ABORT,
     COORDINATOR_CRASH,
-    CRASH,
     FaultInjector,
     FaultSpec,
     PREPARE_STALL,
@@ -71,10 +72,10 @@ from repro.replication.group import (
     PRIMARY_NODE,
     ReplicationGroup,
     ReplicationSpec,
+    SingleNode,
 )
 from repro.sharding.cluster import ShardSpec, ShardedCluster
 from repro.storage.record import LONG
-from repro.storage.recovery import restart
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng
 from repro.util.timeunits import TICK_NS, ticks_to_ns, us_to_ns
@@ -233,44 +234,40 @@ class LoadResult:
 _ENGINE_CONFIG = EngineConfig(materialize_threshold=0)
 
 
-class _PlainBackend:
-    """One engine + cycle-accurate machine; service = replayed cycles."""
+class _NodeBackend:
+    """A node + cycle-accurate machine: a :class:`SingleNode`, or a
+    :class:`ReplicationGroup` when the spec asks for replicas.  Service
+    is the replayed cycles plus the fabric ticks the submit spent (none
+    on a single node)."""
 
     def __init__(self, spec: LoadSpec, tag: str) -> None:
         self.spec = spec
         self.workload = MicroBenchmark(db_bytes=spec.n_rows * BYTES_PER_ROW)
         self.n_rows = self.workload.n_rows
-        self.engine = self._start()
-        self.machine = Machine(IVY_BRIDGE)
-        self.ns_per_cycle = 1.0 / IVY_BRIDGE.clock_ghz
-        prewarm_llc(self.machine, self.engine)
-        self._injector: FaultInjector | None = None
-        if spec.fault_rate > 0:
-            self._injector = FaultInjector(
-                [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
+        boot = partial(boot_node, spec.system, _ENGINE_CONFIG, self.workload)
+        if spec.replicas > 0:
+            self.node = ReplicationGroup(
+                ReplicationSpec(n_replicas=spec.replicas, ack=spec.ack),
+                boot,
                 seed=spec.seed,
             )
-            self._attach(self._injector)
+        else:
+            image_purpose = f"load-image:{tag}"
+            self.node = SingleNode(boot, child_rng(spec.seed, image_purpose), image_purpose)
+        self.machine = Machine(IVY_BRIDGE)
+        self.ns_per_cycle = 1.0 / IVY_BRIDGE.clock_ghz
+        prewarm_llc(self.machine, self.node.engine)
+        if spec.fault_rate > 0:
+            self.node.attach_injector(
+                FaultInjector(
+                    [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
+                    seed=spec.seed,
+                )
+            )
 
-    def _boot(self):
-        engine = boot_engine(self.spec.system, _ENGINE_CONFIG, self.workload)
-        return engine, retained_log(engine)
-
-    def _start(self):
-        chaos = self.spec.chaos
-        if chaos is not None and CRASH in chaos.kinds:
-            # A crash window tears the log (crash_image) and replays it,
-            # so the log must retain every record.
-            return self._boot()[0]
-        return boot_engine(self.spec.system, _ENGINE_CONFIG, self.workload)
-
-    def _attach(self, injector: FaultInjector) -> None:
-        self.engine.attach_injector(injector)
-
-    def _adopt(self, engine) -> None:
-        """Serve from a restarted engine: its hot set goes back into the LLC."""
-        self.engine = engine
-        prewarm_llc(self.machine, engine)
+    def _fabric_clock(self) -> int:
+        """Fabric ticks so far; a single node has no fabric."""
+        return self.node.net.clock if self.node.replicas else 0
 
     def _body(self, event: LoadEvent, key: int):
         op = event.op
@@ -296,87 +293,53 @@ class _PlainBackend:
         return body
 
     def execute(self, event: LoadEvent, key: int) -> tuple[int, bool]:
-        trace = self.engine.execute(f"load_{event.op}", self._body(event, key))
-        committed = self.engine.last_outcome == COMMITTED
-        delta = self.machine.run_trace(trace, transactions=1 if committed else 0)
-        return int(delta.cycles * self.ns_per_cycle), committed
+        ticks_before = self._fabric_clock()
+        outcome = self.node.submit(f"load_{event.op}", self._body(event, key))
+        committed = outcome == COMMITTED
+        # The engine's reused trace object holds exactly this txn's
+        # events after submit(); replaying it prices the engine work.
+        delta = self.machine.run_trace(
+            self.node.engine._trace, transactions=1 if committed else 0
+        )
+        net_ns = ticks_to_ns(self._fabric_clock() - ticks_before)
+        return int(delta.cycles * self.ns_per_cycle) + net_ns, committed
 
     def op_label(self, event: LoadEvent) -> str:
         """What the per-operation latency breakdown calls this request."""
         return event.op
 
-    def crash_recover(self, chaos: ChaosLoadSpec, image_rng) -> tuple[int, list[str]]:
-        """A crash window fired: real ARIES restart, priced per record.
+    def crash_recover(self, chaos: ChaosLoadSpec) -> tuple[int, list[str]]:
+        """A crash window fired: the node fails over, priced by its kind.
 
-        Tears the dead engine's log (``crash_image``) and restarts it
-        through :func:`repro.storage.recovery.restart`, the same path
-        single-node chaos takes, with one difference: the backend's
-        fault-rate injector is re-attached to the new engine, while a
-        chaos restart runs on with none.  Returns ``(recovery_ns,
-        problems)``; recovery is priced as ``recovery_base_us +
-        recovery_per_record_us x records replayed``.
+        A single node tears its log and restarts through
+        :func:`repro.storage.recovery.restart`, priced as
+        ``recovery_base_us + recovery_per_record_us x records
+        replayed``; a group elects its highest-durable replica and
+        replays it under a bumped epoch, priced as ``recovery_base_us``
+        plus the fabric ticks the election + resync consumed.  Either
+        way the new primary carries the backend's injector and its hot
+        set goes back into the LLC.  Returns ``(recovery_ns, problems)``.
         """
-        image = self.engine.recovery_log().crash_image(image_rng)
-        state, engine, _log, problems = restart(
-            image, self._boot, self.engine, self._injector
-        )
-        self._adopt(engine)
-        records = state.redo_applied + state.undo_applied + state.truncated_records
-        recovery_ns = us_to_ns(
-            chaos.recovery_base_us + chaos.recovery_per_record_us * records
-        )
-        obs.inc("load.recovered_records", records, system=self.spec.system)
-        return recovery_ns, problems
-
-
-class _ReplicatedBackend(_PlainBackend):
-    """Primary + replicas; service adds the ack round's fabric ticks."""
-
-    def _start(self):
-        spec = self.spec
-        self.group = ReplicationGroup(
-            ReplicationSpec(n_replicas=spec.replicas, ack=spec.ack),
-            self._boot,
-            seed=spec.seed,
-        )
-        return self.group.engine
-
-    def _attach(self, injector: FaultInjector) -> None:
-        self.group.attach_injector(injector)
-
-    def crash_recover(self, chaos: ChaosLoadSpec, image_rng) -> tuple[int, list[str]]:
-        """A crash window fired: real failover, priced in fabric ticks.
-
-        The group elects the highest-durable replica, replays it under a
-        bumped epoch, and installs a fresh primary carrying the group's
-        injector; the ticks the election + resync consumed land on the
-        queue as recovery time.
-        """
-        ticks_before = self.group.net.clock
-        _state, report = self.group.failover()
-        self._adopt(self.group.engine)
-        failover_ticks = self.group.net.clock - ticks_before
-        recovery_ns = (
-            us_to_ns(chaos.recovery_base_us) + ticks_to_ns(max(failover_ticks, 1))
-        )
-        obs.inc("load.failovers", system=self.spec.system)
+        ticks_before = self._fabric_clock()
+        state, report = self.node.failover()
+        prewarm_llc(self.machine, self.node.engine)
+        if self.node.replicas:
+            failover_ticks = self._fabric_clock() - ticks_before
+            recovery_ns = (
+                us_to_ns(chaos.recovery_base_us) + ticks_to_ns(max(failover_ticks, 1))
+            )
+            obs.inc("load.failovers", system=self.spec.system)
+        else:
+            records = state.redo_applied + state.undo_applied + state.truncated_records
+            recovery_ns = us_to_ns(
+                chaos.recovery_base_us + chaos.recovery_per_record_us * records
+            )
+            obs.inc("load.recovered_records", records, system=self.spec.system)
         return recovery_ns, list(report.problems)
 
     def start_partition(self, ticks: int) -> None:
         """A partition window opened: cut the primary from its replicas."""
-        self.group.net.partition({PRIMARY_NODE}, ticks)
-
-    def execute(self, event: LoadEvent, key: int) -> tuple[int, bool]:
-        ticks_before = self.group.net.clock
-        outcome = self.group.submit(f"load_{event.op}", self._body(event, key))
-        committed = outcome == COMMITTED
-        # The primary's reused trace object holds exactly this txn's
-        # events after submit(); replaying it prices the engine work.
-        delta = self.machine.run_trace(
-            self.engine._trace, transactions=1 if committed else 0
-        )
-        net_ns = ticks_to_ns(self.group.net.clock - ticks_before)
-        return int(delta.cycles * self.ns_per_cycle) + net_ns, committed
+        self.node.net.partition({PRIMARY_NODE}, ticks)
 
 
 class _ShardedBackend:
@@ -472,9 +435,7 @@ class _ShardedBackend:
 def _make_backend(spec: LoadSpec, tag: str):
     if spec.shards > 0:
         return _ShardedBackend(spec, tag)
-    if spec.replicas > 0:
-        return _ReplicatedBackend(spec, tag)
-    return _PlainBackend(spec, tag)
+    return _NodeBackend(spec, tag)
 
 
 # -- the scheduler ------------------------------------------------------------

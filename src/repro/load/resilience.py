@@ -424,7 +424,6 @@ def replay_resilient(
     retry_purpose = f"load-retry:{tag}"
     retry_rng = child_rng(spec.seed, retry_purpose)
     image_purpose = f"load-image:{tag}"
-    image_rng = child_rng(spec.seed, image_purpose)
 
     timeout_ns = ms_to_ns(res.timeout_ms)
     breaker = (
@@ -595,7 +594,7 @@ def replay_resilient(
             record_window(crash_wi)
             crashes += 1
             with sanitizer.scope(image_purpose, "image"):
-                recovery_ns, crash_problems = backend.crash_recover(chaos, image_rng)
+                recovery_ns, crash_problems = backend.crash_recover(chaos)
             problems.extend(crash_problems)
             obs.inc("load.crashes", point=tag)
             degraded_spans.append((start, start + recovery_ns))

@@ -9,6 +9,8 @@ Public surface:
   engine plus N log-shipping :class:`Replica` nodes, with async /
   sync-one / quorum client acks and deterministic LSN-based failover
   (:class:`FailoverReport`);
+* :class:`SingleNode` — a bare primary with the group's node interface,
+  so chaos, load and sharding drive either kind of node the same way;
 * ``ACK_MODES`` — the three client acknowledgement modes.
 
 The chaos harness (:mod:`repro.faults.chaos`) drives a group with
@@ -26,6 +28,7 @@ from repro.replication.group import (
     ReplicationGroup,
     ReplicationSpec,
     SYNC_ONE,
+    SingleNode,
 )
 from repro.replication.network import Message, SimNetwork
 
@@ -41,4 +44,5 @@ __all__ = [
     "ReplicationSpec",
     "SYNC_ONE",
     "SimNetwork",
+    "SingleNode",
 ]

@@ -34,6 +34,9 @@ winner's durable LSN by construction — the invariant proves the
 implementation honours the construction), while ``async`` acks promise
 nothing beyond the primary's own group-commit window, exactly like the
 single-node contract.
+
+:class:`SingleNode` is the same node interface over a bare primary, so
+callers drive either kind of node without branching on replication.
 """
 
 from __future__ import annotations
@@ -155,17 +158,23 @@ class Replica:
 
 @dataclass
 class FailoverReport:
-    """What one deterministic failover decided and recovered."""
+    """What one failover of a node's primary decided and recovered.
+
+    A :class:`SingleNode` has nobody to elect: its winner fields are
+    ``None``, its epoch is 0, and ``torn_tail`` says whether the image
+    it restarted from ended in a torn record.
+    """
 
     epoch: int  # the epoch that just ended
-    winner_id: int
-    winner_lsn: int
+    winner_id: int | None
+    winner_lsn: int | None
     candidate_lsns: tuple[int, ...]
     primary_tip: int  # last LSN the dead primary had appended
-    lost_records: int  # records the dead primary had that the winner lacks
+    lost_records: int  # records the dead primary had that the restart lacks
     acked_checked: int  # durable-mode acks verified against the winner
     state_digest: int
     problems: list[str] = field(default_factory=list)
+    torn_tail: bool = False
 
 
 class ReplicationGroup:
@@ -501,3 +510,72 @@ class ReplicationGroup:
 
     def replica_digests(self) -> tuple[int, ...]:
         return tuple(r.digest() for r in self.replicas)
+
+
+class SingleNode:
+    """A bare primary with the node interface of a :class:`ReplicationGroup`.
+
+    Chaos, load and sharding drive either kind of node the same way.  A
+    single node has no replicas and no fabric: :meth:`replicate` forces
+    its log, :meth:`ship` and :meth:`final_sync` do nothing, and
+    :meth:`failover` restarts it from its own torn log.
+    """
+
+    def __init__(self, boot, image_rng, image_purpose: str = "image") -> None:
+        self.boot = boot  # () -> (engine, retained log)
+        # The crash-image tear draws from *image_rng*, inside a sanitizer
+        # scope of *image_purpose* (the stream's own purpose).
+        self.image_rng = image_rng
+        self.image_purpose = image_purpose
+        self.engine, self.log = boot()
+        self.injector = None
+        self.replicas: list[Replica] = []
+
+    def attach_injector(self, injector) -> None:
+        """Thread a FaultInjector through the engine; a failover
+        re-attaches it to the restarted engine."""
+        self.injector = injector
+        self.engine.attach_injector(injector)
+
+    def submit(self, procedure: str, body) -> str:
+        """Execute one transaction; returns the engine outcome."""
+        self.engine.execute(procedure, body)
+        return self.engine.last_outcome
+
+    def replicate(self, lsn: int, txn_id: int | None = None) -> bool:
+        """Make the log tip durable: a single node forces its log."""
+        self.log.force()
+        return True
+
+    def ship(self) -> None:
+        """Nothing to ship: a single node has no replicas."""
+
+    def failover(self) -> tuple[RecoveredState, FailoverReport]:
+        """The process died: tear its log and restart through :func:`restart`,
+        which re-attaches the node's injector to the new engine."""
+        with sanitizer.scope(self.image_purpose):
+            image = self.log.crash_image(self.image_rng)
+        primary_tip = self.log.next_lsn - 1
+        state, self.engine, self.log, problems = restart(
+            image, self.boot, self.engine, self.injector
+        )
+        report = FailoverReport(
+            epoch=0,
+            winner_id=None,
+            winner_lsn=None,
+            candidate_lsns=(),
+            primary_tip=primary_tip,
+            lost_records=image.lost_records,
+            acked_checked=0,
+            state_digest=state.digest(),
+            problems=problems,
+            torn_tail=image.torn_tail,
+        )
+        return state, report
+
+    def final_sync(self) -> None:
+        """Nothing to sync: a single node has no replicas."""
+
+    def convergence_problems(self) -> list[str]:
+        """A single node has no replicas to diverge from."""
+        return []

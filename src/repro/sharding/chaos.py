@@ -185,9 +185,8 @@ class ShardedChaosRunner:
                 f"tpcc-consistency: shard {shard.shard_id}: {p}"
                 for p in tpcc_invariants(cluster.workload, shard.engine)
             )
-            if shard.group is not None:
-                shard.group.final_sync()
-                problems.extend(shard.group.convergence_problems())
+            shard.node.final_sync()
+            problems.extend(shard.node.convergence_problems())
         problems.extend(cross_shard_invariants(cluster, states))
         total = EngineStats()
         total.merge(cluster.total_stats)
@@ -236,8 +235,7 @@ def _checkpoint_all(cluster: ShardedCluster) -> None:
             continue
         try:
             take_checkpoint(shard.log, truncate=True)
-            if shard.group is not None:
-                shard.group.ship()
+            shard.node.ship()
         except SimulatedCrash as crash:
             cluster._note_crash(shard, crash)
     cluster._recover_crashed()

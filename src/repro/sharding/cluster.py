@@ -1,8 +1,9 @@
 """ShardedCluster: TPC-C partitioned by warehouse over N primaries + 2PC.
 
-Each shard is one primary engine (optionally a
+Each shard is one node — a bare
+:class:`~repro.replication.group.SingleNode` primary or a
 :class:`~repro.replication.group.ReplicationGroup` with its own
-replicas) owning the warehouses :func:`~repro.sharding.partition.
+replicas — owning the warehouses :func:`~repro.sharding.partition.
 shard_of_warehouse` maps to it.  Single-shard transactions take the
 ordinary submit path; multi-shard ones (remote NewOrder stock /
 Payment customers, swept via ``remote_pct``) run under the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro import obs
 from repro.engines.base import (
@@ -38,7 +40,7 @@ from repro.engines.base import (
     UserAbort,
 )
 from repro.engines.config import EngineConfig
-from repro.engines.registry import boot_engine, retained_log
+from repro.engines.registry import boot_node
 from repro.faults.injector import (
     PREPARE_STALL,
     SimulatedCrash,
@@ -47,7 +49,13 @@ from repro.faults.injector import (
     TPC_PREPARE,
 )
 from repro.lint import sanitizer
-from repro.replication.group import ACK_MODES, ASYNC, ReplicationGroup, ReplicationSpec
+from repro.replication.group import (
+    ACK_MODES,
+    ASYNC,
+    ReplicationGroup,
+    ReplicationSpec,
+    SingleNode,
+)
 from repro.replication.network import SimNetwork
 from repro.storage.recovery import (
     ABORTED as R_ABORTED,
@@ -57,7 +65,6 @@ from repro.storage.recovery import (
     prepared_records,
     redo_records,
     replay,
-    restart,
     restore_engine,
 )
 from repro.sharding.partition import shard_of_warehouse
@@ -157,20 +164,17 @@ class OpenTxn:
 
 
 class Shard:
-    """One partition: a primary engine, optionally replicated."""
+    """One partition: a node — a bare primary or a replication group."""
 
-    def __init__(self, shard_id: int, spec: ShardSpec, engine_factory) -> None:
+    def __init__(self, shard_id: int, spec: ShardSpec, boot, image_rng) -> None:
         self.shard_id = shard_id
-        self.node = f"shard{shard_id}"
-        self.spec = spec
-        self.group: ReplicationGroup | None = None
+        self.address = f"shard{shard_id}"  # its name on the cluster fabric
         if spec.replicas > 0:
-            self.group = ReplicationGroup(
-                spec.replication_spec(), engine_factory,
-                seed=spec.seed * 131 + shard_id,
+            self.node = ReplicationGroup(
+                spec.replication_spec(), boot, seed=spec.seed * 131 + shard_id
             )
         else:
-            self._engine, self._log = engine_factory()
+            self.node = SingleNode(boot, image_rng)
         self.crashed = False
         self.recoveries = 0
         # Live 2PC state (dies with the process on a crash).
@@ -184,22 +188,11 @@ class Shard:
 
     @property
     def engine(self):
-        return self.group.engine if self.group is not None else self._engine
+        return self.node.engine
 
     @property
     def log(self):
-        return self.group.log if self.group is not None else self._log
-
-    def adopt(self, engine, log) -> None:
-        """Install a freshly recovered engine (bare-shard restart)."""
-        self._engine, self._log = engine, log
-
-    def durable_decision(self, lsn: int, txn_id: int | None = None) -> bool:
-        """Make the log tip durable under the shard's ack policy."""
-        if self.group is not None:
-            return self.group.replicate(lsn, txn_id)
-        self.log.force()
-        return True
+        return self.node.log
 
 
 class ShardedCluster:
@@ -209,14 +202,17 @@ class ShardedCluster:
         self.spec = spec
         self.workload = TPCC(warehouses=spec.n_warehouses())
         self.net = SimNetwork(latency_ticks=spec.latency_ticks)
-        self.shards = [
-            Shard(i, spec, self._boot) for i in range(spec.n_shards)
-        ]
+        boot = partial(
+            boot_node, spec.system, spec.resolved_config(), self.workload,
+            spec.group_commit_size,
+        )
+        # Bare shards tear their crash images from one shared stream.
+        image_rng = child_rng(spec.seed, "image")
+        self.shards = [Shard(i, spec, boot, image_rng) for i in range(spec.n_shards)]
         for shard in self.shards:
-            self.net.register(shard.node, self._make_handler(shard))
+            self.net.register(shard.address, self._make_handler(shard))
         self.injector = None
         self._jitter_rng = child_rng(spec.seed, "2pc-client")
-        self._image_rng = child_rng(spec.seed, "image")
         self._next_gtid = 1
         self.global_txns: dict[int, GlobalTxn] = {}
         # (gtid, shard) -> durable verdict on that shard ("committed" /
@@ -241,19 +237,11 @@ class ShardedCluster:
 
     # -- engine lifecycle ----------------------------------------------------
 
-    def _boot(self):
-        spec = self.spec
-        engine = boot_engine(spec.system, spec.resolved_config(), self.workload)
-        return engine, retained_log(engine, spec.group_commit_size)
-
     def attach_injector(self, injector) -> None:
-        """Thread one injector through every shard, group, and the fabric."""
+        """Thread one injector through every shard's node and the fabric."""
         self.injector = injector
         for shard in self.shards:
-            if shard.group is not None:
-                shard.group.attach_injector(injector)
-            else:
-                shard.engine.attach_injector(injector)
+            shard.node.attach_injector(injector)
         self.net.injector = injector
 
     def shard_of(self, warehouse: int) -> Shard:
@@ -302,11 +290,8 @@ class ShardedCluster:
         return outcome
 
     def _submit_local(self, shard: Shard, procedure: str, body) -> str:
-        if shard.group is not None:
-            outcome = shard.group.submit(procedure, body)
-        else:
-            shard.engine.execute(procedure, body)
-            outcome = shard.engine.last_outcome
+        outcome = shard.node.submit(procedure, body)
+        if not shard.node.replicas:
             self.net.tick(1)  # keep cross-shard traffic draining
         return outcome
 
@@ -404,7 +389,7 @@ class ShardedCluster:
         coord.resolved[rec.gtid] = COMMIT
         coord.engine.stats.record_commit(rec.procedure)
         self.counters["committed_global"] += 1
-        rec.acked = coord.durable_decision(decision_rec.lsn, txn.txn_id)
+        rec.acked = coord.node.replicate(decision_rec.lsn, txn.txn_id)
         self._send_decisions(coord, rec, rec.pending_acks())
         obs.inc("twopc.commits")
         return COMMITTED
@@ -434,7 +419,7 @@ class ShardedCluster:
     def _send_prepares(self, coord: Shard, rec: GlobalTxn, shards) -> None:
         for s in shards:
             self.net.send(
-                coord.node, self.shards[s].node, MSG_PREPARE,
+                coord.address, self.shards[s].address, MSG_PREPARE,
                 (rec.gtid, coord.shard_id, rec.procedure, rec.bodies[s]),
             )
 
@@ -443,7 +428,7 @@ class ShardedCluster:
             return
         for s in shards:
             self.net.send(
-                coord.node, self.shards[s].node, MSG_DECISION,
+                coord.address, self.shards[s].address, MSG_DECISION,
                 (rec.gtid, coord.shard_id, rec.decision),
             )
 
@@ -496,19 +481,19 @@ class ShardedCluster:
 
     def _on_prepare(self, shard: Shard, message) -> None:
         gtid, coord_id, procedure, body = message.payload
-        coord_node = self.shards[coord_id].node
+        coord_node = self.shards[coord_id].address
         if gtid in shard.resolved:  # duplicate after the decision landed
-            self.net.send(shard.node, coord_node, MSG_DECISION_ACK,
+            self.net.send(shard.address, coord_node, MSG_DECISION_ACK,
                           (gtid, shard.shard_id,
                            self._ack_status(shard, shard.resolved[gtid])))
             return
         if gtid in shard.open:  # duplicate prepare: re-vote yes
-            self.net.send(shard.node, coord_node, MSG_VOTE,
+            self.net.send(shard.address, coord_node, MSG_VOTE,
                           (gtid, shard.shard_id, True,
                            shard.open[gtid].txn.txn_id))
             return
         if gtid in shard.in_doubt:  # recovered in doubt: still yes
-            self.net.send(shard.node, coord_node, MSG_VOTE,
+            self.net.send(shard.address, coord_node, MSG_VOTE,
                           (gtid, shard.shard_id, True, shard.in_doubt[gtid][0]))
             return
         if self.injector is not None:
@@ -522,17 +507,17 @@ class ShardedCluster:
             shard.engine.stats.record_abort(
                 procedure, getattr(exc, "reason", AbortReason.USER)
             )
-            self.net.send(shard.node, coord_node, MSG_VOTE,
+            self.net.send(shard.address, coord_node, MSG_VOTE,
                           (gtid, shard.shard_id, False, txn.txn_id))
             return
         record = shard.log.append(
             txn.txn_id, PREPARE, _PREPARE_BYTES, payload=(gtid, coord_id)
         )
-        if not shard.durable_decision(record.lsn):
+        if not shard.node.replicate(record.lsn):
             # The yes vote's durability promise cannot be met: vote no.
             txn.abort()
             shard.engine.stats.record_abort(procedure, "2pc-prepare-unreplicated")
-            self.net.send(shard.node, coord_node, MSG_VOTE,
+            self.net.send(shard.address, coord_node, MSG_VOTE,
                           (gtid, shard.shard_id, False, txn.txn_id))
             return
         shard.open[gtid] = OpenTxn(gtid, txn, procedure, prepared=True)
@@ -545,7 +530,7 @@ class ShardedCluster:
                         PREPARE_STALL
                     ).randint(1, self.spec.deadline_ticks)
                 self.counters["prepare_stalls"] += 1
-        self.net.send(shard.node, coord_node, MSG_VOTE,
+        self.net.send(shard.address, coord_node, MSG_VOTE,
                       (gtid, shard.shard_id, True, txn.txn_id),
                       extra_ticks=extra)
 
@@ -569,9 +554,9 @@ class ShardedCluster:
 
     def _on_decision(self, shard: Shard, message) -> None:
         gtid, coord_id, decision = message.payload
-        coord_node = self.shards[coord_id].node
+        coord_node = self.shards[coord_id].address
         if gtid in shard.resolved:  # duplicate decision
-            self.net.send(shard.node, coord_node, MSG_DECISION_ACK,
+            self.net.send(shard.address, coord_node, MSG_DECISION_ACK,
                           (gtid, shard.shard_id,
                            self._ack_status(shard, shard.resolved[gtid])))
             return
@@ -583,7 +568,7 @@ class ShardedCluster:
                 open_txn.txn.commit()
                 commit_lsn = shard.log.last_commit_lsn
                 shard.engine.stats.record_commit(open_txn.procedure)
-                durable = shard.durable_decision(commit_lsn, open_txn.txn.txn_id)
+                durable = shard.node.replicate(commit_lsn, open_txn.txn.txn_id)
                 self._journal_one(gtid, shard.shard_id, R_COMMITTED)
                 status = ACK_DURABLE if durable else ACK_LAGGING
             else:
@@ -592,12 +577,12 @@ class ShardedCluster:
                 self._journal_one(gtid, shard.shard_id, R_ABORTED)
                 status = ACK_DURABLE
             shard.resolved[gtid] = decision
-            self.net.send(shard.node, coord_node, MSG_DECISION_ACK,
+            self.net.send(shard.address, coord_node, MSG_DECISION_ACK,
                           (gtid, shard.shard_id, status))
             return
         if gtid in shard.in_doubt:
             durable = self._apply_indoubt(shard, gtid, decision)
-            self.net.send(shard.node, coord_node, MSG_DECISION_ACK,
+            self.net.send(shard.address, coord_node, MSG_DECISION_ACK,
                           (gtid, shard.shard_id,
                            ACK_DURABLE if durable else ACK_LAGGING))
             return
@@ -607,7 +592,7 @@ class ShardedCluster:
         status = ACK_UNKNOWN if decision == COMMIT else ACK_DURABLE
         if decision == ABORT:
             shard.resolved[gtid] = ABORT
-        self.net.send(shard.node, coord_node, MSG_DECISION_ACK,
+        self.net.send(shard.address, coord_node, MSG_DECISION_ACK,
                       (gtid, shard.shard_id, status))
 
     def _on_decision_ack(self, shard: Shard, message) -> None:
@@ -626,7 +611,7 @@ class ShardedCluster:
         rec = self.global_txns.get(gtid)
         # Presumed abort: an unknown or undecided transaction is aborted.
         decision = rec.decision if rec is not None and rec.decision else ABORT
-        self.net.send(shard.node, self.shards[from_shard].node, MSG_DECISION,
+        self.net.send(shard.address, self.shards[from_shard].address, MSG_DECISION,
                       (gtid, shard.shard_id, decision))
 
     def _reprepare(self, coord: Shard, rec: GlobalTxn, target: int) -> None:
@@ -675,17 +660,8 @@ class ShardedCluster:
         with obs.span(
             "twopc.recover", track="2pc", cat="sharding", shard=shard.shard_id
         ) as span:
-            if shard.group is not None:
-                state, report = shard.group.failover()
-                self.problems.extend(report.problems)
-            else:
-                with sanitizer.scope("image"):
-                    image = shard.log.crash_image(self._image_rng)
-                state, engine, log, problems = restart(
-                    image, self._boot, shard.engine, self.injector
-                )
-                self.problems.extend(problems)
-                shard.adopt(engine, log)
+            state, report = shard.node.failover()
+            self.problems.extend(report.problems)
             shard.crashed = False
             shard.recoveries += 1
             self.counters["recoveries"] += 1
@@ -724,16 +700,16 @@ class ShardedCluster:
                 decision = rec.decision if rec is not None and rec.decision else ABORT
                 self._apply_indoubt(shard, gtid, decision)
             else:
-                self.net.send(shard.node, self.shards[coord_id].node,
+                self.net.send(shard.address, self.shards[coord_id].address,
                               MSG_DECISION_REQ, (gtid, shard.shard_id))
 
     def _ack_status(self, shard: Shard, decision: str) -> str:
         """Honest re-ack: a replicated shard re-verifies its commit is
         durable under the ack policy before answering ``durable``."""
-        if decision != COMMIT or shard.group is None:
+        if decision != COMMIT or not shard.node.replicas:
             return ACK_DURABLE
         tip = shard.log.next_lsn - 1
-        return ACK_DURABLE if shard.group.replicate(tip) else ACK_LAGGING
+        return ACK_DURABLE if shard.node.replicate(tip) else ACK_LAGGING
 
     def _apply_indoubt(self, shard: Shard, gtid: int, decision: str) -> bool:
         """Apply the coordinator's verdict to a recovered in-doubt txn;
@@ -746,7 +722,7 @@ class ShardedCluster:
             delta = redo_records(records)
             restore_engine(delta, shard.engine)
             record = log.append(txn_id, "commit", _MARKER_BYTES)
-            durable = shard.durable_decision(record.lsn, txn_id)
+            durable = shard.node.replicate(record.lsn, txn_id)
             self._journal_one(gtid, shard.shard_id, R_COMMITTED)
         else:
             log.append(txn_id, "abort", _MARKER_BYTES)

@@ -11,6 +11,7 @@ explicitly (``pytest -m chaos``).
 
 import pytest
 
+from repro.engines.base import Engine
 from repro.engines.registry import ALL_SYSTEMS
 from repro.faults import (
     ChaosRunner,
@@ -100,6 +101,30 @@ class TestInjectedAborts:
         assert result.ok, _failures(result)
         assert result.stats.aborts_by_reason.get("injected-fault", 0) > 0
         assert result.stats.backoff_cycles > 0
+
+    def test_single_node_restart_keeps_segment_injector(self, monkeypatch):
+        # Every transaction, including those a restarted engine runs in
+        # the rest of its segment, runs with that segment's injector
+        # attached to the engine and to its log.
+        seen = []
+        execute = Engine.execute
+
+        def spy(engine, procedure, body, core_id=0):
+            seen.append((engine.injector, engine.recovery_log().injector))
+            return execute(engine, procedure, body, core_id)
+
+        monkeypatch.setattr(Engine, "execute", spy)
+        spec = ChaosSpec("shore-mt", n_txns=60, n_crashes=2, seed=5)
+        result = ChaosRunner(spec, _workload("micro")).run()
+        assert result.ok, _failures(result)
+        assert len(result.crashes) == 2
+        assert all(c.winner_id is None for c in result.crashes)
+        assert all(
+            engine_inj is not None and log_inj is engine_inj
+            for engine_inj, log_inj in seen
+        )
+        # One injector per segment: a restart does not arm a new one.
+        assert len({id(engine_inj) for engine_inj, _ in seen}) == 3
 
     def test_lock_point_crash_with_contention(self):
         spec = ChaosSpec(

@@ -39,6 +39,8 @@ PINNED = [
     f"{CHAOS_REPLICATED} sync-one",
     f"{CHAOS_REPLICATED} quorum",
     "chaos --shards 2 --remote-pct 20 --txns 30 --seeds 3",
+    # Shards that are replication groups, not bare primaries.
+    "chaos --shards 2 --replicas 2 --ack quorum --remote-pct 20 --txns 30 --seeds 2",
     "load --clients 1000000 --arrival poisson --events 300 --no-save",
     "load --clients 1000000 --arrival flash --mix read-write --events 300 --no-save",
     "load --clients 200 --events 240 --shards 2 --chaos coordinator-crash "

@@ -34,9 +34,11 @@ from repro.replication import (
     ReplicationSpec,
     SYNC_ONE,
     SimNetwork,
+    SingleNode,
 )
 from repro.storage.record import microbench_schema
 from repro.storage.wal import LogRecord, record_checksum, torn_copy
+from repro.util.rng import child_rng
 
 N_ROWS = 200
 
@@ -315,6 +317,51 @@ class TestFailover:
         assert report.problems == []
         group.final_sync()
         assert group.convergence_problems() == []
+
+
+class TestNodeContract:
+    """Chaos, load and sharding drive either kind of node alike."""
+
+    NODES = {
+        "single": lambda: SingleNode(_engine_factory(), child_rng(1, "image")),
+        "group": lambda: _group(ack=QUORUM, n_replicas=2),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NODES))
+    def test_submit_failover_reattaches_injector(self, kind):
+        node = self.NODES[kind]()
+        injector = FaultInjector(seed=3)
+        node.attach_injector(injector)
+        for i in range(6):
+            outcome = node.submit(
+                "p", lambda txn, v=i: txn.update("t", v, "value", v + 50)
+            )
+            assert outcome == COMMITTED
+            node.ship()
+        assert node.replicate(node.log.next_lsn - 1, None)
+        dead = node.engine
+        state, report = node.failover()
+        assert node.engine is not dead
+        assert node.injector is injector
+        assert node.engine.injector is injector
+        assert node.log is node.engine.recovery_log()
+        assert node.log.injector is injector
+        assert report.problems == []
+        assert report.state_digest == state.digest()
+        # Every commit was forced (single) or quorum-acked (group) before
+        # the failover, so the restarted primary serves all of them.
+        for i in range(6):
+            assert node.engine.committed_row("t", i)[1] == i + 50
+        assert node.submit("p", lambda txn: txn.update("t", 0, "value", 7)) == COMMITTED
+        node.ship()
+        node.final_sync()
+        assert node.convergence_problems() == []
+        if kind == "single":
+            assert node.replicas == []
+            assert (report.winner_id, report.winner_lsn, report.epoch) == (None, None, 0)
+        else:
+            assert len(node.replicas) == 2
+            assert report.winner_id is not None and report.epoch == 1
 
 
 class TestDeterminism:
