@@ -31,7 +31,7 @@ def run_variant(factor: float, monkeypatch):
     import repro.engines.dbms_m as dbms_m_mod
 
     monkeypatch.setattr(dbms_m_mod, "DBMS_M_COMPILER", profile)
-    config = EngineConfig(index_kind="hash", compilation=True, materialize_threshold=0)
+    config = EngineConfig(index_kind="hash", compilation=True)
     spec = RunSpec(system="dbms-m", engine_config=config).quick()
     result = ExperimentRunner(
         spec, lambda: MicroBenchmark(db_bytes=100 << 30, rows_per_txn=10)

@@ -19,7 +19,7 @@ NODE_SIZES = [256, 1024, 8192]
 
 def run_variant(node_bytes: int):
     config = EngineConfig(
-        index_kind="cc_btree", node_bytes=node_bytes, materialize_threshold=0
+        index_kind="cc_btree", node_bytes=node_bytes
     )
     spec = RunSpec(system="voltdb", engine_config=config).quick()
     result = ExperimentRunner(

@@ -12,7 +12,7 @@ from repro.workloads.microbench import MicroBenchmark
 
 
 def run_variant(single_sited: bool) -> float:
-    config = EngineConfig(single_sited=single_sited, materialize_threshold=0)
+    config = EngineConfig(single_sited=single_sited)
     spec = RunSpec(system="voltdb", engine_config=config).quick()
     result = ExperimentRunner(
         spec, lambda: MicroBenchmark(db_bytes=100 << 30)

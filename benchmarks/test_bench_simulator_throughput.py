@@ -10,7 +10,6 @@ import random
 from repro.core.machine import Machine
 from repro.core.trace import AccessTrace
 from repro.engines.common import TableSpec
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.storage.address_space import DataAddressSpace
 from repro.storage.layout_models import AnalyticBTree
@@ -51,7 +50,7 @@ def test_analytic_probe_throughput(benchmark):
 
 def test_engine_transaction_throughput(benchmark):
     """End-to-end transactions/second for the leanest engine (HyPer)."""
-    engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+    engine = make_engine("hyper")
     engine.create_table(TableSpec("t", microbench_schema(), 10**9))
     rng = random.Random(2)
 

@@ -16,7 +16,6 @@ from repro.workloads import TPCC
 
 def study(system: str) -> None:
     config = EngineConfig(
-        materialize_threshold=0,
         index_kind="cc_btree" if system == "dbms-m" else None,
     )
     spec = RunSpec(system=system, engine_config=config).quick()

@@ -125,7 +125,7 @@ def _tpc(benchmark: str, label: str) -> Experiment:
 
 
 INDEX_CONFIGS = {
-    label: EngineConfig(index_kind=kind, compilation=compiled, materialize_threshold=0)
+    label: EngineConfig(index_kind=kind, compilation=compiled)
     for label, kind, compiled in [
         ("Hash w/ compilation", "hash", True),
         ("Hash w/o compilation", "hash", False),

@@ -31,11 +31,9 @@ def engine_config_for(system: str, workload: str, **overrides) -> EngineConfig:
     DBMS M uses its hash index for the micro-benchmarks and TPC-B and
     its cache-conscious B-tree for TPC-C (Section 3).
     """
-    kwargs: dict = {"materialize_threshold": 0}
     if canonical_name(system) == "dbms-m" and workload == "tpcc":
-        kwargs["index_kind"] = "cc_btree"
-    kwargs.update(overrides)
-    return EngineConfig(**kwargs)
+        overrides = {"index_kind": "cc_btree", **overrides}
+    return EngineConfig(**overrides)
 
 
 def cell_spec(
@@ -48,7 +46,7 @@ def cell_spec(
     """The RunSpec for one figure cell."""
     spec = RunSpec(
         system=canonical_name(system),
-        engine_config=engine_config or EngineConfig(materialize_threshold=0),
+        engine_config=engine_config or EngineConfig(),
         n_cores=n_cores,
     )
     return spec.quick() if quick else spec

@@ -75,11 +75,10 @@ def bench_replay_events_per_sec(*, min_seconds: float = 0.5) -> dict:
 def bench_engine_txns_per_sec(*, n_txns: int = 3000) -> dict:
     """End-to-end transactions/second for the leanest engine (HyPer)."""
     from repro.engines.common import TableSpec
-    from repro.engines.config import EngineConfig
     from repro.engines.registry import make_engine
     from repro.storage.record import microbench_schema
 
-    engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+    engine = make_engine("hyper")
     engine.create_table(TableSpec("t", microbench_schema(), 10**9))
     rng = root_rng(2, "perf-engine")
     for _ in range(50):

@@ -60,7 +60,7 @@ class RunSpec:
     """One experiment cell: a system running a workload configuration."""
 
     system: str
-    engine_config: EngineConfig = field(default_factory=lambda: EngineConfig(materialize_threshold=0))
+    engine_config: EngineConfig = field(default_factory=EngineConfig)
     n_cores: int = 1
     measure_events: int = DEFAULT_MEASURE_EVENTS
     warmup_events: int = DEFAULT_WARMUP_EVENTS

@@ -5,7 +5,7 @@ In-memory: :class:`VoltDBEngine`, :class:`HyPerEngine`, :class:`DBMSM`.
 """
 
 from repro.engines.base import Engine, EngineStats, Transaction, TransactionAborted
-from repro.engines.common import EngineTable, PartitionedTable, TableSpec, index_hot_regions
+from repro.engines.common import EngineTable, TableSpec
 from repro.engines.config import EngineConfig
 from repro.engines.dbms_d import DBMSD
 from repro.engines.dbms_m import DBMSM, DBMSMTransaction
@@ -40,7 +40,6 @@ __all__ = [
     "HyPerTransaction",
     "IN_MEMORY",
     "PAPER_LABELS",
-    "PartitionedTable",
     "ShoreMT",
     "ShoreMTTransaction",
     "TableSpec",
@@ -51,7 +50,6 @@ __all__ = [
     "boot_engine",
     "boot_node",
     "canonical_name",
-    "index_hot_regions",
     "make_engine",
     "retained_log",
 ]

@@ -24,7 +24,7 @@ from repro.codegen.layout import CodeLayout
 from repro.codegen.module import CodeModule
 from repro.codegen.walker import CodeWalker
 from repro.core.trace import AccessTrace
-from repro.engines.common import EngineTable, PartitionedTable, TableSpec
+from repro.engines.common import EngineTable, TableSpec
 from repro.engines.config import EngineConfig
 from repro.storage.address_space import DataAddressSpace
 from repro.util.backoff import capped_backoff
@@ -189,7 +189,7 @@ class Engine(ABC):
         self.layout = CodeLayout()
         self.walker = CodeWalker(self.layout)
         self.mods: dict[str, int] = {}
-        self.tables: dict[str, EngineTable | PartitionedTable] = {}
+        self.tables: dict[str, EngineTable] = {}
         self.stats = EngineStats()
         # Fault-injection plumbing (repro.faults): the attached injector
         # and the outcome of the last execute() call.
@@ -246,28 +246,24 @@ class Engine(ABC):
     def create_table(self, spec: TableSpec) -> None:
         if spec.name in self.tables:
             raise ValueError(f"table {spec.name!r} already exists")
-        kind = self.index_kind_for(spec)
-        kwargs = dict(
-            index_kind=kind,
-            page_bytes=self.config.page_bytes,
+        partitioned = self.is_partitioned and not spec.replicated
+        table = EngineTable(
+            spec,
+            self.space,
+            index_kind=self.index_kind_for(spec),
+            n_partitions=self.config.n_partitions if partitioned else 1,
             node_bytes=self.config.node_bytes or self.default_node_bytes,
-            materialize_threshold=self.config.materialize_threshold,
             search_line_cap=self.default_search_line_cap,
         )
-        if self.is_partitioned and self.config.n_partitions > 1 and not spec.replicated:
-            self.tables[spec.name] = PartitionedTable(
-                spec, self.space, self.config.n_partitions, **kwargs
-            )
-        else:
-            self.tables[spec.name] = EngineTable(spec, self.space, **kwargs)
         if self.injector is not None:
-            self.tables[spec.name].injector = self.injector
+            table.injector = self.injector
+        self.tables[spec.name] = table
 
     def create_tables(self, specs: list[TableSpec]) -> None:
         for spec in specs:
             self.create_table(spec)
 
-    def table(self, name: str) -> EngineTable | PartitionedTable:
+    def table(self, name: str) -> EngineTable:
         return self.tables[name]
 
     def comparison_instructions(self, name: str) -> int:
@@ -287,11 +283,7 @@ class Engine(ABC):
         if words <= 1:
             extra = 0
         else:
-            index = getattr(table, "index", None)
-            if index is None:
-                index = table._indexes[0]
-            height = index.height if isinstance(index.height, int) else index.height()
-            extra = (words - 1) * max(2, height) * 11
+            extra = (words - 1) * max(2, table.height) * 11
         self._cmp_instr_cache[name] = extra
         return extra
 

@@ -1,10 +1,10 @@
 """Shared engine plumbing: table specs, engine tables, partitioning.
 
 Workloads declare *what* tables exist (:class:`TableSpec`); each engine
-decides *how* to store and index them (:class:`EngineTable`,
-:class:`PartitionedTable`) — the disk engines use 8 KB-page B+trees,
-VoltDB a cache-line-tuned tree, HyPer an ART, DBMS M a hash index or a
-cache-conscious B-tree (paper Section 3, "Analyzed Systems").
+decides *how* to store, index and partition them (:class:`EngineTable`)
+— the disk engines use 8 KB-page B+trees, VoltDB a cache-line-tuned
+tree, HyPer an ART, DBMS M a hash index or a cache-conscious B-tree
+(paper Section 3, "Analyzed Systems").
 
 Keys are dense integers ``0..n_rows-1`` for pre-populated rows (composite
 TPC-C keys are encoded into that space by the workload); the identity
@@ -20,6 +20,7 @@ from repro.core.trace import AccessTrace
 from repro.storage.address_space import DataAddressSpace
 from repro.storage.heap import HeapTable
 from repro.storage.index_factory import make_index
+from repro.storage.layout_models import AnalyticIndexBase
 from repro.storage.record import Schema
 
 
@@ -50,77 +51,15 @@ class TableSpec:
 
 
 class EngineTable:
-    """One engine's storage for a table: heap + primary index."""
+    """One engine's storage for a table: a heap plus one primary index
+    per partition (VoltDB / HyPer deployment style).
 
-    # Optional FaultInjector threaded in by Engine.attach_injector.
-    injector = None
-
-    def __init__(
-        self,
-        spec: TableSpec,
-        space: DataAddressSpace,
-        *,
-        index_kind: str,
-        page_bytes: int = 8192,
-        node_bytes: int | None = None,
-        materialize_threshold: int | None = None,
-        search_line_cap: int | None = None,
-        name_suffix: str = "",
-    ) -> None:
-        self.spec = spec
-        name = spec.name + name_suffix
-        self.heap = HeapTable(name, spec.schema, spec.n_rows, space)
-        kwargs = {"search_line_cap": search_line_cap}
-        if materialize_threshold is not None:
-            kwargs["materialize_threshold"] = materialize_threshold
-        n_rows = spec.n_rows
-        self.index = make_index(
-            index_kind,
-            name,
-            space,
-            n_keys=n_rows,
-            # Dense pre-population: key == row id inside the domain,
-            # absent outside it (sparse key encodings probe as misses).
-            key_to_value=lambda k: k if 0 <= k < n_rows else None,
-            page_bytes=page_bytes,
-            node_bytes=node_bytes,
-            **kwargs,
-        )
-
-    def probe(self, key: int, trace: AccessTrace | None, mod: int):
-        """Index probe; returns the row id or None."""
-        return self.index.probe(key, trace, mod)
-
-    def insert_row(self, values: tuple, key: int | None, trace: AccessTrace | None, mod: int) -> int:
-        if self.injector is not None:
-            self.injector.fire("index.insert", table=self.spec.name, key=key)
-        row_id = self.heap.append(values, trace, mod)
-        self.index.insert(key if key is not None else row_id, row_id, trace, mod)
-        return row_id
-
-    def insert_key(self, key: int, row_id: int, trace: AccessTrace | None = None, mod: int = 0) -> None:
-        """(Re-)point *key* at *row_id* in the index (recovery restore)."""
-        self.index.insert(key, row_id, trace, mod)
-
-    def delete_key(self, key: int, trace: AccessTrace | None = None, mod: int = 0) -> bool:
-        """Remove *key* from the index (recovery restore)."""
-        return self.index.delete(key, trace, mod)
-
-    def hot_regions(self) -> list[tuple[int, int]]:
-        """(base_line, n_lines) ranges, hottest first, for cache prewarm."""
-        regions = index_hot_regions(self.index)
-        data_lines = max(1, self.heap.data_bytes // 64)
-        regions.append((self.heap.region.base_line, data_lines))
-        return regions
-
-
-class PartitionedTable:
-    """Range-partitioned table (VoltDB / HyPer deployment style).
-
-    Partition *p* owns the key range ``[p*N/P, (p+1)*N/P)`` with its own
-    index; the heap stays logically global so row ids equal keys across
-    engines.  Composite TPC-C keys encode the warehouse in their high
-    component, so range partitioning doubles as partition-by-warehouse.
+    Partition *p* owns the key range ``[p*N/P, (p+1)*N/P)`` and indexes
+    it by local key ``key - base``; the heap stays logically global so
+    row ids equal keys across engines.  Composite TPC-C keys encode the
+    warehouse in their high component, so range partitioning doubles as
+    partition-by-warehouse.  An unpartitioned table is one partition
+    with base 0.
     """
 
     # Optional FaultInjector threaded in by Engine.attach_injector.
@@ -130,12 +69,10 @@ class PartitionedTable:
         self,
         spec: TableSpec,
         space: DataAddressSpace,
-        n_partitions: int,
         *,
         index_kind: str,
-        page_bytes: int = 8192,
+        n_partitions: int = 1,
         node_bytes: int | None = None,
-        materialize_threshold: int | None = None,
         search_line_cap: int | None = None,
     ) -> None:
         if n_partitions < 1:
@@ -143,86 +80,78 @@ class PartitionedTable:
         self.spec = spec
         self.n_partitions = n_partitions
         self.heap = HeapTable(spec.name, spec.schema, spec.n_rows, space)
-        self._bases: list[int] = []
-        self._indexes = []
-        per_part = -(-spec.n_rows // n_partitions)
-        kwargs = {"search_line_cap": search_line_cap}
-        if materialize_threshold is not None:
-            kwargs["materialize_threshold"] = materialize_threshold
+        n_rows = spec.n_rows
+        self._per_part = per_part = -(-n_rows // n_partitions)
+        # (base key, index) per partition.
+        self._parts: list[tuple[int, AnalyticIndexBase]] = []
         for p in range(n_partitions):
             base = p * per_part
-            n_keys = max(1, min(per_part, spec.n_rows - base))
-            self._bases.append(base)
-            self._indexes.append(
-                make_index(
-                    index_kind,
-                    f"{spec.name}:p{p}",
-                    space,
-                    n_keys=n_keys,
-                    key_to_value=(lambda k, b=base, n=n_keys: k + b if 0 <= k < n else None),
-                    page_bytes=page_bytes,
-                    node_bytes=node_bytes,
-                    **kwargs,
-                )
+            # Pre-populated rows this partition owns; a trailing
+            # partition past the table's end owns none but still lays
+            # out one key slot.
+            owned = min(per_part, n_rows - base)
+            index = make_index(
+                index_kind,
+                spec.name if n_partitions == 1 else f"{spec.name}:p{p}",
+                space,
+                n_keys=max(1, owned),
+                # Dense pre-population: local key k is row base + k while
+                # the partition owns it; other keys (sparse key
+                # encodings, rows past the table's end) probe as misses.
+                key_to_value=lambda k, b=base, n=owned: k + b if 0 <= k < n else None,
+                node_bytes=node_bytes,
+                search_line_cap=search_line_cap,
             )
-        self._per_part = per_part
+            self._parts.append((base, index))
 
     def partition_of(self, key: int) -> int:
         return min(self.n_partitions - 1, max(0, key // self._per_part))
 
+    def _partition(self, key: int) -> tuple[int, AnalyticIndexBase]:
+        """(base, index) of the partition that owns *key*."""
+        if self.n_partitions == 1:
+            return self._parts[0]
+        return self._parts[self.partition_of(key)]
+
+    @property
+    def height(self) -> int:
+        """Levels an index probe descends (partition 0's index)."""
+        return self._parts[0][1].height
+
     def probe(self, key: int, trace: AccessTrace | None, mod: int):
-        p = self.partition_of(key)
-        return self._indexes[p].probe(key - self._bases[p], trace, mod)
+        """Index probe; returns the row id or None."""
+        base, index = self._partition(key)
+        return index.probe(key - base, trace, mod)
+
+    def probe_lines(self, key: int) -> list[int]:
+        """Distinct cache lines a probe of *key* touches, root to leaf."""
+        base, index = self._partition(key)
+        return index.probe_lines(key - base)
+
+    def range_scan(self, key: int, n: int, trace: AccessTrace | None, mod: int) -> list:
+        """Up to *n* (key, row id) pairs from *key* on, within its partition."""
+        base, index = self._partition(key)
+        return [(k + base, row_id) for k, row_id in index.range_scan(key - base, n, trace, mod)]
 
     def insert_row(self, values: tuple, key: int | None, trace: AccessTrace | None, mod: int) -> int:
         if self.injector is not None:
             self.injector.fire("index.insert", table=self.spec.name, key=key)
         row_id = self.heap.append(values, trace, mod)
-        key = key if key is not None else row_id
-        p = self.partition_of(key)
-        self._indexes[p].insert(key - self._bases[p], row_id, trace, mod)
+        self.insert_key(key if key is not None else row_id, row_id, trace, mod)
         return row_id
 
     def insert_key(self, key: int, row_id: int, trace: AccessTrace | None = None, mod: int = 0) -> None:
         """(Re-)point *key* at *row_id* in its partition's index."""
-        p = self.partition_of(key)
-        self._indexes[p].insert(key - self._bases[p], row_id, trace, mod)
+        base, index = self._partition(key)
+        index.insert(key - base, row_id, trace, mod)
 
     def delete_key(self, key: int, trace: AccessTrace | None = None, mod: int = 0) -> bool:
-        """Remove *key* from its partition's index (recovery restore)."""
-        p = self.partition_of(key)
-        return self._indexes[p].delete(key - self._bases[p], trace, mod)
+        """Remove *key* from its partition's index; True if it was present."""
+        base, index = self._partition(key)
+        return index.delete(key - base, trace, mod)
 
     def hot_regions(self) -> list[tuple[int, int]]:
-        regions: list[tuple[int, int]] = []
-        for index in self._indexes:
-            regions.extend(index_hot_regions(index))
+        """(base_line, n_lines) ranges, hottest first, for cache prewarm."""
+        regions = [region for _, index in self._parts for region in index.hot_regions()]
         regions.append((self.heap.region.base_line, max(1, self.heap.data_bytes // 64)))
         return regions
-
-
-def index_hot_regions(index) -> list[tuple[int, int]]:
-    """(base_line, n_lines) ranges of an index, hottest (root-most) first.
-
-    Works across all index flavours by duck-typing their region
-    attributes: analytic indexes expose per-level regions, materialised
-    ones a node arena, hash variants a bucket array + entry storage.
-    """
-    regions: list[tuple[int, int]] = []
-    level_regions = getattr(index, "_level_regions", None)
-    if level_regions is not None:
-        regions.extend((r.base_line, r.n_lines) for r in level_regions)
-        leaf_region = getattr(index, "_leaf_region", None)
-        if leaf_region is not None:
-            regions.append((leaf_region.base_line, leaf_region.n_lines))
-    else:
-        arena = getattr(index, "_arena", None)
-        if arena is not None:
-            regions.append((arena.region.base_line, max(1, arena.used_bytes // 64)))
-    bucket_region = getattr(index, "_bucket_region", None)
-    if bucket_region is not None:
-        regions.insert(0, (bucket_region.base_line, bucket_region.n_lines))
-    entry_region = getattr(index, "_entry_region", None)
-    if entry_region is not None:
-        regions.append((entry_region.base_line, entry_region.n_lines))
-    return regions

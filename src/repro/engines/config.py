@@ -18,8 +18,6 @@ class EngineConfig:
     # Index structure override ('btree' | 'cc_btree' | 'art' | 'hash');
     # None picks the engine's documented default for the workload.
     index_kind: str | None = None
-    # Disk-style page size for B+tree nodes and buffer-pool pages.
-    page_bytes: int = 8192
     # Cache-conscious node size override.
     node_bytes: int | None = None
     # Stored-procedure compilation; None = engine default (HyPer: always
@@ -30,16 +28,11 @@ class EngineConfig:
     # VoltDB's single-sited optimisation: when False every transaction
     # pays the multi-partition coordination path (paper's ~60% note).
     single_sited: bool = True
-    # Index materialisation threshold; None = factory default, 0 forces
-    # the analytic layout models (what the experiment harness uses).
-    materialize_threshold: int | None = None
     # Transaction retry budget on abort (lock conflict / validation).
     max_retries: int = 5
 
     def __post_init__(self) -> None:
         if self.n_partitions < 1:
             raise ValueError("n_partitions must be >= 1")
-        if self.page_bytes < 256:
-            raise ValueError("page_bytes must be >= 256")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")

@@ -169,8 +169,7 @@ class DBMSMTransaction(Transaction):
         self._engine_op_walk("scan")
         tbl = eng.table(table)
         mod = self._data_mod()
-        index = tbl.index
-        results = index.range_scan(key, n, self.trace, mod)
+        results = tbl.range_scan(key, n, self.trace, mod)
         out = []
         for scan_key, row_id in results:
             self.read_set.setdefault(
@@ -233,7 +232,7 @@ class DBMSMTransaction(Transaction):
                     payload=(table, key if key is not None else row_id, row_id, tuple(values)),
                 )
             for table, key in self._deletes:
-                eng.table(table).index.delete(key, self.trace, mod)
+                eng.table(table).delete_key(key, self.trace, mod)
                 eng.wal.append(
                     self.txn_id, "delete", 24, self.trace, eng.mods["log"],
                     payload=(table, key),

@@ -107,16 +107,7 @@ class HyPerTransaction(Transaction):
         eng.stats.operations += 1
         self._loop_body()
         tbl = eng.table(table)
-        index = getattr(tbl, "index", None)
-        if index is None:
-            p = tbl.partition_of(key)
-            index = tbl._indexes[p]
-            results = [
-                (k + tbl._bases[p], v)
-                for k, v in index.range_scan(key - tbl._bases[p], n, self.trace, self._compiled)
-            ]
-        else:
-            results = index.range_scan(key, n, self.trace, self._compiled)
+        results = tbl.range_scan(key, n, self.trace, self._compiled)
         out = []
         for scan_key, row_id in results:
             out.append((scan_key, tbl.heap.read(row_id, self.trace, self._compiled)))
@@ -127,18 +118,13 @@ class HyPerTransaction(Transaction):
         eng.stats.operations += 1
         self._loop_body()
         tbl = eng.table(table)
-        orig_key = key
-        index = getattr(tbl, "index", None)
-        if index is None:
-            p = tbl.partition_of(key)
-            index, key = tbl._indexes[p], key - tbl._bases[p]
-        row_id = index.probe(key, None, self._compiled)
-        present = index.delete(key, self.trace, self._compiled)
+        row_id = tbl.probe(key, None, self._compiled)
+        present = tbl.delete_key(key, self.trace, self._compiled)
         if present:
-            self._shadow.append(("delete", index, key, row_id))
+            self._shadow.append(("delete", table, key, row_id))
             eng.redo_log.append(
                 self.txn_id, "delete", 24, self.trace, self._compiled,
-                payload=(table, orig_key),
+                payload=(table, key),
             )
         return present
 
@@ -165,16 +151,11 @@ class HyPerTransaction(Transaction):
                 eng.table(table).heap.write(row_id, old_row, self.trace, self._compiled)
             elif kind == "insert":
                 _, table, key = entry
-                tbl = eng.table(table)
-                index = getattr(tbl, "index", None)
-                if index is None:
-                    p = tbl.partition_of(key)
-                    index, key = tbl._indexes[p], key - tbl._bases[p]
-                index.delete(key, self.trace, self._compiled)
+                eng.table(table).delete_key(key, self.trace, self._compiled)
             else:
-                _, index, key, row_id = entry
+                _, table, key, row_id = entry
                 if row_id is not None:
-                    index.insert(key, row_id, self.trace, self._compiled)
+                    eng.table(table).insert_key(key, row_id, self.trace, self._compiled)
         self._shadow.clear()
 
 
@@ -214,10 +195,6 @@ class HyPerEngine(Engine):
         if trace is None:
             trace = AccessTrace()
         return HyPerTransaction(self, trace, self._new_txn_id(), procedure)
-
-    def partition_of(self, table: str, key: int) -> int:
-        tbl = self.table(table)
-        return tbl.partition_of(key) if hasattr(tbl, "partition_of") else 0
 
     def recovery_log(self) -> WriteAheadLog:
         return self.redo_log

@@ -20,7 +20,7 @@ from repro.codegen.module import ENGINE, OTHER
 from repro.core.trace import AccessTrace
 from repro.engines.base import AbortReason, Engine, Transaction, TransactionAborted
 from repro.engines.config import EngineConfig
-from repro.storage.buffer_pool import BufferPool
+from repro.storage.buffer_pool import PAGE_BYTES, BufferPool
 from repro.storage.index_factory import BTREE
 from repro.storage.lock_manager import LockConflict, LockManager, LockMode
 from repro.storage.wal import WriteAheadLog
@@ -70,14 +70,13 @@ class ShoreMTTransaction(Transaction):
     def _fix_row_page(self, table_name: str, row_id: int) -> None:
         eng = self.engine
         table = eng.table(table_name)
-        page_bytes = eng.config.page_bytes
-        page_no = table.heap.row_offset(row_id) // page_bytes
+        page_no = table.heap.row_offset(row_id) // PAGE_BYTES
         eng._w(self.trace, "bpool", 0.11)
         eng.bpool.fix(0x10000 | (stable_hash(table_name) & 0xFFFF), page_no, self.trace, eng.mods["bpool"])
         eng._w(self.trace, "latch", 0.25)
         # Slotted page: the slot array at the page head is read before
         # the tuple itself (one more dependent line on a random page).
-        slot_line = table.heap.region.base_line + (page_no * page_bytes) // 64
+        slot_line = table.heap.region.base_line + (page_no * PAGE_BYTES) // 64
         self.trace.load(slot_line, eng.mods["heap_code"], serial=True)
         eng.bpool.unfix(0x10000 | (stable_hash(table_name) & 0xFFFF), page_no, self.trace, eng.mods["bpool"])
 
@@ -151,9 +150,9 @@ class ShoreMTTransaction(Transaction):
         eng._w(self.trace, "btree", 0.30)
         self._fix_index_pages(table, key)
         tbl = eng.table(table)
-        results = tbl.index.range_scan(key, n, self.trace, eng.mods["btree"])
+        results = tbl.range_scan(key, n, self.trace, eng.mods["btree"])
         # One fix + short latch per visited leaf page.
-        entries_per_page = max(8, eng.config.page_bytes // 16)
+        entries_per_page = max(8, PAGE_BYTES // 16)
         for page in range(-(-max(1, n) // entries_per_page)):
             eng._w(self.trace, "bpool", 0.10)
             eng._w(self.trace, "latch", 0.20)
@@ -174,7 +173,7 @@ class ShoreMTTransaction(Transaction):
         self._fix_index_pages(table, key)
         tbl = eng.table(table)
         row_id = tbl.probe(key, None, eng.mods["btree"])
-        present = tbl.index.delete(key, self.trace, eng.mods["btree"])
+        present = tbl.delete_key(key, self.trace, eng.mods["btree"])
         if present:
             self._undo.append(("delete", table, key, row_id))
             eng._w(self.trace, "log", 0.30)
@@ -220,7 +219,7 @@ class ShoreMTTransaction(Transaction):
                 )
             elif kind == "insert":
                 _, table, key = entry
-                eng.table(table).index.delete(key, self.trace, mod)
+                eng.table(table).delete_key(key, self.trace, mod)
                 eng.wal.append(
                     self.txn_id, "clr", 24, self.trace, eng.mods["log"],
                     payload=("uninsert", table, key),
@@ -228,7 +227,7 @@ class ShoreMTTransaction(Transaction):
             else:  # deleted key: restore the index entry
                 _, table, key, row_id = entry
                 if row_id is not None:
-                    eng.table(table).index.insert(key, row_id, self.trace, mod)
+                    eng.table(table).insert_key(key, row_id, self.trace, mod)
                     eng.wal.append(
                         self.txn_id, "clr", 24, self.trace, eng.mods["log"],
                         payload=("undelete", table, key, row_id),
@@ -246,7 +245,7 @@ class ShoreMT(Engine):
     def __init__(self, config: EngineConfig | None = None) -> None:
         super().__init__(config)
         self.locks = LockManager("shore", self.space)
-        self.bpool = BufferPool("shore", self.space, page_bytes=self.config.page_bytes)
+        self.bpool = BufferPool("shore", self.space)
         self.wal = WriteAheadLog("shore", self.space, buffer_bytes=2 << 20)
 
     def _register_modules(self) -> None:
@@ -278,20 +277,13 @@ class ShoreMT(Engine):
 
     def index_page_path(self, table, key: int) -> list[int]:
         """Distinct page numbers an index probe fixes, root to leaf."""
-        index = getattr(table, "index", None)
-        if index is None:  # partitioned tables are not used by Shore-MT
-            return []
-        lines_per_page = max(1, self.config.page_bytes // 64)
-        if hasattr(index, "probe_lines"):
-            pages: list[int] = []
-            for line in index.probe_lines(key):
-                page = line // lines_per_page
-                if not pages or pages[-1] != page:
-                    pages.append(page)
-            return pages
-        if hasattr(index, "probe_path"):
-            return [offset // self.config.page_bytes for offset in index.probe_path(key)]
-        return []
+        lines_per_page = PAGE_BYTES // 64
+        pages: list[int] = []
+        for line in table.probe_lines(key):
+            page = line // lines_per_page
+            if not pages or pages[-1] != page:
+                pages.append(page)
+        return pages
 
     def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> ShoreMTTransaction:
         if trace is None:

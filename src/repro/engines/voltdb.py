@@ -124,16 +124,8 @@ class VoltDBTransaction(Transaction):
         self._enter_ee(table)
         eng._w(self.trace, "index_code", 0.27)
         tbl = eng.table(table)
-        index = getattr(tbl, "index", None)
-        if index is None:
-            # Partitioned table: scan within the key's partition.
-            p = tbl.partition_of(key)
-            index = tbl._indexes[p]
-            key = key - tbl._bases[p]
-            results = index.range_scan(key, n, self.trace, eng.mods["index_code"])
-            results = [(k + tbl._bases[p], v) for k, v in results]
-        else:
-            results = index.range_scan(key, n, self.trace, eng.mods["index_code"])
+        # A partitioned table scans within the key's partition.
+        results = tbl.range_scan(key, n, self.trace, eng.mods["index_code"])
         out = []
         for scan_key, row_id in results:
             out.append((scan_key, tbl.heap.read(row_id, self.trace, eng.mods["table_code"])))
@@ -147,18 +139,13 @@ class VoltDBTransaction(Transaction):
         self._enter_ee(table)
         eng._w(self.trace, "index_code", 0.30)
         tbl = eng.table(table)
-        orig_key = key
-        index = getattr(tbl, "index", None)
-        if index is None:
-            p = tbl.partition_of(key)
-            index, key = tbl._indexes[p], key - tbl._bases[p]
-        row_id = index.probe(key, None, eng.mods["index_code"])
-        present = index.delete(key, self.trace, eng.mods["index_code"])
+        row_id = tbl.probe(key, None, eng.mods["index_code"])
+        present = tbl.delete_key(key, self.trace, eng.mods["index_code"])
         if present:
             eng._w(self.trace, "undo", 0.30)
-            self._undo_entries.append(("delete", index, key, row_id))
+            self._undo_entries.append(("delete", table, key, row_id))
             eng.undo_log.append(self.txn_id, "undo-delete", 24, self.trace, eng.mods["undo"])
-            eng.command_log.append(self.txn_id, "delete", 0, payload=(table, orig_key))
+            eng.command_log.append(self.txn_id, "delete", 0, payload=(table, key))
         return present
 
     def commit(self) -> None:
@@ -186,16 +173,11 @@ class VoltDBTransaction(Transaction):
                 eng.table(table).heap.write(row_id, old_row, self.trace, mod)
             elif kind == "insert":
                 _, table, key = entry
-                tbl = eng.table(table)
-                index = getattr(tbl, "index", None)
-                if index is None:
-                    p = tbl.partition_of(key)
-                    index, key = tbl._indexes[p], key - tbl._bases[p]
-                index.delete(key, self.trace, mod)
+                eng.table(table).delete_key(key, self.trace, mod)
             else:
-                _, index, key, row_id = entry
+                _, table, key, row_id = entry
                 if row_id is not None:
-                    index.insert(key, row_id, self.trace, mod)
+                    eng.table(table).insert_key(key, row_id, self.trace, mod)
         self._undo_entries.clear()
         eng._w(self.trace, "serde", 0.25)
         eng._w(self.trace, "network", 0.20)
@@ -236,10 +218,6 @@ class VoltDBEngine(Engine):
         if trace is None:
             trace = AccessTrace()
         return VoltDBTransaction(self, trace, self._new_txn_id(), procedure)
-
-    def partition_of(self, table: str, key: int) -> int:
-        tbl = self.table(table)
-        return tbl.partition_of(key) if hasattr(tbl, "partition_of") else 0
 
     def recovery_log(self) -> WriteAheadLog:
         return self.command_log

@@ -241,9 +241,6 @@ class ChaosSpec:
         settings.update(overrides)
         return cls(system=system, **settings)
 
-    def resolved_config(self) -> EngineConfig:
-        return self.engine_config or EngineConfig(materialize_threshold=0)
-
     def replication_spec(self) -> ReplicationSpec:
         return ReplicationSpec(n_replicas=self.replicas, ack=self.ack)
 
@@ -414,7 +411,7 @@ class _NodeTarget:
         self.runner = runner
         spec = runner.spec
         boot = partial(
-            boot_node, spec.system, spec.resolved_config(), runner.workload,
+            boot_node, spec.system, spec.engine_config, runner.workload,
             spec.group_commit_size,
         )
         if spec.replicas > 0:

@@ -41,7 +41,6 @@ from repro.bench.runner import prewarm_llc
 from repro.core.machine import Machine
 from repro.core.spec import IVY_BRIDGE
 from repro.engines.base import COMMITTED
-from repro.engines.config import EngineConfig
 from repro.engines.registry import boot_node
 from repro.faults.injector import (
     ABORT,
@@ -231,9 +230,6 @@ class LoadResult:
 
 # -- backends -----------------------------------------------------------------
 
-_ENGINE_CONFIG = EngineConfig(materialize_threshold=0)
-
-
 class _NodeBackend:
     """A node + cycle-accurate machine: a :class:`SingleNode`, or a
     :class:`ReplicationGroup` when the spec asks for replicas.  Service
@@ -244,7 +240,7 @@ class _NodeBackend:
         self.spec = spec
         self.workload = MicroBenchmark(db_bytes=spec.n_rows * BYTES_PER_ROW)
         self.n_rows = self.workload.n_rows
-        boot = partial(boot_node, spec.system, _ENGINE_CONFIG, self.workload)
+        boot = partial(boot_node, spec.system, None, self.workload)
         if spec.replicas > 0:
             self.node = ReplicationGroup(
                 ReplicationSpec(n_replicas=spec.replicas, ack=spec.ack),

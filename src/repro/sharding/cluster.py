@@ -144,9 +144,6 @@ class ShardSpec:
     def n_warehouses(self) -> int:
         return self.warehouses if self.warehouses is not None else max(2, self.n_shards)
 
-    def resolved_config(self) -> EngineConfig:
-        return self.engine_config or EngineConfig(materialize_threshold=0)
-
     def replication_spec(self) -> ReplicationSpec:
         return ReplicationSpec(
             n_replicas=self.replicas, ack=self.ack, latency_ticks=self.latency_ticks
@@ -203,7 +200,7 @@ class ShardedCluster:
         self.workload = TPCC(warehouses=spec.n_warehouses())
         self.net = SimNetwork(latency_ticks=spec.latency_ticks)
         boot = partial(
-            boot_node, spec.system, spec.resolved_config(), self.workload,
+            boot_node, spec.system, spec.engine_config, self.workload,
             spec.group_commit_size,
         )
         # Bare shards tear their crash images from one shared stream.

@@ -18,7 +18,6 @@ from repro.storage.index_factory import (
     CC_BTREE,
     HASH,
     INDEX_KINDS,
-    MATERIALIZE_THRESHOLD,
     make_index,
 )
 from repro.storage.layout_models import AnalyticART, AnalyticBTree, AnalyticHash
@@ -71,7 +70,6 @@ __all__ = [
     "LockMode",
     "LogImage",
     "LogRecord",
-    "MATERIALIZE_THRESHOLD",
     "MVCCStore",
     "RECORD_HEADER_BYTES",
     "RecoveredState",

@@ -20,6 +20,9 @@ from repro.core.trace import AccessTrace
 from repro.storage.address_space import DataAddressSpace
 from repro.storage.hash_index import fibonacci_hash
 
+PAGE_BYTES = 8192
+"""Disk page size: buffer-pool frames and the disk engines' B+tree nodes."""
+
 _FRAME_HEADER_BYTES = 64
 _PT_SLOT_BYTES = 8
 
@@ -43,7 +46,7 @@ class BufferPool:
         space: DataAddressSpace,
         *,
         n_frames: int = 1 << 16,
-        page_bytes: int = 8192,
+        page_bytes: int = PAGE_BYTES,
     ) -> None:
         if n_frames <= 0:
             raise ValueError("n_frames must be positive")

@@ -1,11 +1,10 @@
-"""Index factory: one call site for materialised vs analytic indexes.
+"""Index factory: the layout model for an index kind.
 
-Engines ask for an index *kind* and a logical key count; below
-:data:`MATERIALIZE_THRESHOLD` they get the real structure (pre-populated
-with ``key_to_value`` for the dense key range), above it the analytic
-layout model (see :mod:`repro.storage.layout_models`).  Both sides share
-the probe/insert/delete call signature, so engine code is identical at
-1 MB and 100 GB.
+Engines ask for an index *kind* and a logical key count and get the
+analytic layout model (see :mod:`repro.storage.layout_models`), so
+engine code is identical at 1 MB and 100 GB.  The materialised
+structures (:class:`~repro.storage.btree.BPlusTree` and friends) are
+the small-scale reference the models are property-tested against.
 """
 
 from __future__ import annotations
@@ -13,14 +12,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.storage.address_space import DataAddressSpace
-from repro.storage.art import AdaptiveRadixTree
-from repro.storage.btree import BPlusTree
 from repro.storage.cc_btree import CacheConsciousBTree
-from repro.storage.hash_index import HashIndex
 from repro.storage.layout_models import AnalyticART, AnalyticBTree, AnalyticHash
-
-MATERIALIZE_THRESHOLD = 100_000
-"""Key counts at or below this build the real structure."""
 
 BTREE = "btree"
 CC_BTREE = "cc_btree"
@@ -37,45 +30,21 @@ def make_index(
     *,
     n_keys: int,
     key_to_value: Callable | None = None,
-    key_bytes: int = 8,
-    page_bytes: int = 8192,
     node_bytes: int | None = None,
-    materialize_threshold: int = MATERIALIZE_THRESHOLD,
     search_line_cap: int | None = None,
 ):
-    """Build an index of *kind* over a logical population of *n_keys*.
+    """Build the layout model of *kind* over a logical population of *n_keys*.
 
-    ``key_to_value`` defines the pre-populated contents (dense integer
-    keys ``0..n_keys-1`` map through it); materialised structures are
-    populated eagerly, analytic ones resolve through it lazily.
+    ``key_to_value`` defines the pre-populated contents: probes resolve
+    through it lazily.  A ``btree`` uses disk-sized pages, a
+    ``cc_btree`` *node_bytes* nodes (the structure's default if None).
     """
     if kind not in INDEX_KINDS:
         raise ValueError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}")
-    if n_keys < 1:
-        raise ValueError("n_keys must be >= 1")
-
-    materialize = n_keys <= materialize_threshold
-    if materialize:
-        if kind == BTREE:
-            index = BPlusTree(
-                name, space, page_bytes=page_bytes, key_bytes=key_bytes,
-                search_line_cap=search_line_cap,
-            )
-        elif kind == CC_BTREE:
-            index = CacheConsciousBTree(name, space, node_bytes=node_bytes, key_bytes=key_bytes)
-        elif kind == ART:
-            index = AdaptiveRadixTree(name, space, key_bytes=key_bytes)
-        else:
-            index = HashIndex(name, space, expected_keys=n_keys)
-        if key_to_value is not None:
-            for key in range(n_keys):
-                index.insert(key, key_to_value(key))
-        return index
-
     if kind == BTREE:
         return AnalyticBTree(
             name, space, n_keys=n_keys, key_to_value=key_to_value,
-            page_bytes=page_bytes, search_line_cap=search_line_cap,
+            search_line_cap=search_line_cap,
         )
     if kind == CC_BTREE:
         node = node_bytes or CacheConsciousBTree.DEFAULT_NODE_BYTES

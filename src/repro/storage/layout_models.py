@@ -29,6 +29,7 @@ from repro.core.spec import CACHE_LINE_BYTES
 from repro.core.trace import AccessTrace
 from repro.storage.address_space import DataAddressSpace, Region
 from repro.storage.btree import NODE_HEADER_BYTES, binary_search_probes
+from repro.storage.buffer_pool import PAGE_BYTES
 from repro.storage.hash_index import fibonacci_hash
 from repro.util.stablehash import stable_hash
 
@@ -89,7 +90,7 @@ class AnalyticBTree(AnalyticIndexBase):
         *,
         n_keys: int,
         key_to_value: KeyToValue | None = None,
-        page_bytes: int = 8192,
+        page_bytes: int = PAGE_BYTES,
         key_bytes: int = 8,
         value_bytes: int = 8,
         search_line_cap: int | None = None,
@@ -145,6 +146,10 @@ class AnalyticBTree(AnalyticIndexBase):
             return
         for line in self.probe_lines(key):
             trace.load(line, mod, serial=True)
+
+    def hot_regions(self) -> list[tuple[int, int]]:
+        """(base_line, n_lines) per level, root first (cache prewarm)."""
+        return [(r.base_line, r.n_lines) for r in self._level_regions]
 
     # -- operations ------------------------------------------------------------------
 
@@ -241,6 +246,7 @@ class AnalyticART(AnalyticIndexBase):
             for i, (n, nb) in enumerate(zip(counts, self.level_node_bytes))
         ]
         self._leaf_region = space.region(f"aart:{name}:leaves", n_keys * self.LEAF_BYTES)
+        self.height = self.inner_levels + 1
 
     @classmethod
     def _node_bytes_for(cls, fanout: int) -> int:
@@ -307,9 +313,10 @@ class AnalyticART(AnalyticIndexBase):
                     out.append((k, value))
         return out
 
-    @property
-    def height(self) -> int:
-        return self.inner_levels + 1
+    def hot_regions(self) -> list[tuple[int, int]]:
+        """(base_line, n_lines) per inner level, root first, then leaves."""
+        regions = self._level_regions + [self._leaf_region]
+        return [(r.base_line, r.n_lines) for r in regions]
 
 
 class AnalyticHash(AnalyticIndexBase):
@@ -323,6 +330,7 @@ class AnalyticHash(AnalyticIndexBase):
 
     ENTRY_BYTES = 32
     SLOT_BYTES = 8
+    height = 2  # bucket slot + chain entry
 
     def __init__(
         self,
@@ -401,6 +409,9 @@ class AnalyticHash(AnalyticIndexBase):
                     out.append((k, value))
         return out
 
-    @property
-    def height(self) -> int:
-        return 2  # bucket slot + chain entry
+    def hot_regions(self) -> list[tuple[int, int]]:
+        """(base_line, n_lines) of the bucket array, then the entries."""
+        return [
+            (self._bucket_region.base_line, self._bucket_region.n_lines),
+            (self._entry_region.base_line, self._entry_region.n_lines),
+        ]

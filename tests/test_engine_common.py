@@ -1,14 +1,19 @@
-"""TableSpec / EngineTable / PartitionedTable tests."""
+"""TableSpec / EngineTable tests, unpartitioned and partitioned."""
 
 import pytest
 
 from repro.core.trace import AccessTrace
-from repro.engines.common import EngineTable, PartitionedTable, TableSpec, index_hot_regions
+from repro.engines.common import EngineTable, TableSpec
 from repro.storage.record import microbench_schema
 
 
 def spec(n_rows=1000, **kw) -> TableSpec:
     return TableSpec("t", microbench_schema(), n_rows, **kw)
+
+
+def index_regions(table: EngineTable, partition: int) -> list[tuple[int, int]]:
+    _, index = table._parts[partition]
+    return index.hot_regions()
 
 
 class TestTableSpec:
@@ -50,11 +55,14 @@ class TestEngineTable:
 
 
 class TestPartitionedTable:
+    """An EngineTable with more than one partition."""
+
     def make(self, n_rows=1000, parts=4, space=None):
         from repro.storage.address_space import DataAddressSpace
 
-        return PartitionedTable(
-            spec(n_rows=n_rows), space or DataAddressSpace(), parts, index_kind="cc_btree"
+        return EngineTable(
+            spec(n_rows=n_rows), space or DataAddressSpace(),
+            index_kind="cc_btree", n_partitions=parts,
         )
 
     def test_partition_routing(self):
@@ -71,8 +79,8 @@ class TestPartitionedTable:
 
     def test_partitions_have_disjoint_index_addresses(self):
         t = self.make()
-        t0_lines = index_hot_regions(t._indexes[0])
-        t1_lines = index_hot_regions(t._indexes[1])
+        t0_lines = index_regions(t, 0)
+        t1_lines = index_regions(t, 1)
         spans0 = {(b, b + n) for b, n in t0_lines}
         spans1 = {(b, b + n) for b, n in t1_lines}
         assert not spans0 & spans1
@@ -84,13 +92,34 @@ class TestPartitionedTable:
 
     def test_partition_count_validated(self, space):
         with pytest.raises(ValueError):
-            PartitionedTable(spec(), space, 0, index_kind="btree")
+            EngineTable(spec(), space, index_kind="btree", n_partitions=0)
 
     def test_emission_stays_in_one_partition(self):
         t = self.make(n_rows=100_000_000)
         tr = AccessTrace()
         t.probe(10, tr, 0)  # partition 0
-        p0_regions = index_hot_regions(t._indexes[0])
+        p0_regions = index_regions(t, 0)
         lo = min(b for b, _ in p0_regions)
         hi = max(b + n for b, n in p0_regions)
         assert all(lo <= a < hi for a in tr.addrs)
+
+    def test_scan_returns_global_keys(self):
+        t = self.make()
+        assert t.range_scan(251, 3, None, 0) == [(251, 251), (252, 252), (253, 253)]
+
+    def test_delete_and_reinsert_routed_by_key(self):
+        t = self.make()
+        assert t.delete_key(600)
+        assert t.probe(600, None, 0) is None
+        t.insert_key(600, 600)
+        assert t.probe(600, None, 0) == 600
+
+
+@pytest.mark.parametrize("n_partitions", [1, 4])
+@pytest.mark.parametrize("n_rows", [5, 9, 12])
+def test_keys_past_the_end_are_absent(space, n_rows, n_partitions):
+    """A trailing partition that owns no rows reports none present."""
+    t = EngineTable(spec(n_rows=n_rows), space, index_kind="cc_btree", n_partitions=n_partitions)
+    assert all(t.probe(key, None, 0) == key for key in range(n_rows))
+    for key in range(n_rows, n_rows + 4):
+        assert t.probe(key, None, 0) is None, key

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engines.base import TransactionAborted, UserAbort
 from repro.engines.common import TableSpec
-from repro.engines.config import EngineConfig
 from repro.engines.registry import ALL_SYSTEMS, make_engine
 from repro.storage.record import microbench_schema
 
@@ -19,7 +18,7 @@ N_ROWS = 300
 
 
 def fresh_engine(system):
-    engine = make_engine(system, EngineConfig(materialize_threshold=0))
+    engine = make_engine(system)
     engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))
     return engine
 

@@ -17,7 +17,7 @@ SPEC = TableSpec("t", microbench_schema(), 2000, grows=True)
 
 
 def build(cls_or_name, **kw):
-    config = EngineConfig(materialize_threshold=0, **kw)
+    config = EngineConfig(**kw)
     engine = (
         make_engine(cls_or_name, config)
         if isinstance(cls_or_name, str)
@@ -139,24 +139,22 @@ class TestDBMSMOptimisticMVCC:
         btree_engine = build(DBMSM, index_kind="cc_btree")
         from repro.storage.layout_models import AnalyticBTree, AnalyticHash
 
-        assert isinstance(hash_engine.table("t").index, AnalyticHash)
-        assert isinstance(btree_engine.table("t").index, AnalyticBTree)
+        assert isinstance(hash_engine.table("t")._parts[0][1], AnalyticHash)
+        assert isinstance(btree_engine.table("t")._parts[0][1], AnalyticBTree)
 
 
 class TestVoltDBPartitioning:
     def test_partitioned_tables_when_configured(self):
         engine = build(VoltDBEngine, n_partitions=4)
-        from repro.engines.common import PartitionedTable
 
-        assert isinstance(engine.table("t"), PartitionedTable)
-        assert engine.partition_of("t", 0) == 0
-        assert engine.partition_of("t", 1999) == 3
+        assert engine.table("t").n_partitions == 4
+        assert engine.table("t").partition_of(0) == 0
+        assert engine.table("t").partition_of(1999) == 3
 
     def test_single_partition_by_default(self):
         engine = build(VoltDBEngine)
-        from repro.engines.common import EngineTable
 
-        assert isinstance(engine.table("t"), EngineTable)
+        assert engine.table("t").n_partitions == 1
 
     def test_multipartition_coordination_costs_instructions(self):
         sited = build(VoltDBEngine)
@@ -166,17 +164,25 @@ class TestVoltDBPartitioning:
         assert t_unsited.instructions > t_sited.instructions * 1.15
 
     def test_replicated_table_not_partitioned(self):
-        engine = VoltDBEngine(EngineConfig(materialize_threshold=0, n_partitions=4))
+        engine = VoltDBEngine(EngineConfig(n_partitions=4))
         engine.create_table(TableSpec("item", microbench_schema(), 100, replicated=True))
-        from repro.engines.common import EngineTable
 
-        assert isinstance(engine.table("item"), EngineTable)
+        assert engine.table("item").n_partitions == 1
 
     def test_undo_log_on_update(self):
         engine = build(VoltDBEngine)
         before = engine.undo_log.next_lsn
         engine.execute("p", lambda txn: txn.update("t", 1, "value", 2))
         assert engine.undo_log.next_lsn > before
+
+    def test_read_past_the_end_of_a_partitioned_table(self):
+        """An empty trailing partition holds no rows."""
+        engine = VoltDBEngine(EngineConfig(n_partitions=4))
+        engine.create_table(TableSpec("t", microbench_schema(), 9))
+        txn = engine.begin()
+        assert txn.read("t", 8) is not None
+        assert txn.read("t", 9) is None
+        txn.commit()
 
 
 class TestHyPerCompilation:

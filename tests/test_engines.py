@@ -17,7 +17,7 @@ N_ROWS = 2000
 
 
 def build(system, **config_kw):
-    config = EngineConfig(materialize_threshold=0, **config_kw)
+    config = EngineConfig(**config_kw)
     engine = make_engine(system, config)
     engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))
     return engine

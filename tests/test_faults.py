@@ -57,7 +57,7 @@ N_ROWS = 500
 
 
 def shore_with_log(system="shore-mt", **config):
-    engine = make_engine(system, EngineConfig(materialize_threshold=0, **config))
+    engine = make_engine(system, EngineConfig(**config))
     log = engine.recovery_log()
     log.retain_all = True
     engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))

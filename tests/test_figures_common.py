@@ -21,6 +21,10 @@ from repro.bench.figures.common import (
     labels,
 )
 from repro.bench.parallel import run_cells, workload_spec
+from repro.engines.common import TableSpec
+from repro.engines.registry import make_engine
+from repro.storage.layout_models import AnalyticART
+from repro.storage.record import microbench_schema
 
 
 class TestConfiguration:
@@ -40,7 +44,9 @@ class TestConfiguration:
         assert engine_config_for("voltdb", "tpcc").index_kind is None
 
     def test_engine_config_always_analytic(self):
-        assert engine_config_for("hyper", "micro").materialize_threshold == 0
+        engine = make_engine("hyper", engine_config_for("hyper", "micro"))
+        engine.create_table(TableSpec("t", microbench_schema(), 10))
+        assert isinstance(engine.table("t")._parts[0][1], AnalyticART)
 
     def test_labels(self):
         assert labels(["shore-mt", "dbms-m"]) == ["Shore-MT", "DBMS M"]

@@ -2,19 +2,9 @@
 
 import pytest
 
-from repro.storage.art import AdaptiveRadixTree
-from repro.storage.btree import BPlusTree
-from repro.storage.cc_btree import CacheConsciousBTree
-from repro.storage.hash_index import HashIndex
 from repro.storage.index_factory import INDEX_KINDS, make_index
 from repro.storage.layout_models import AnalyticART, AnalyticBTree, AnalyticHash
 
-MATERIALISED = {
-    "btree": BPlusTree,
-    "cc_btree": CacheConsciousBTree,
-    "art": AdaptiveRadixTree,
-    "hash": HashIndex,
-}
 ANALYTIC = {
     "btree": AnalyticBTree,
     "cc_btree": AnalyticBTree,
@@ -24,9 +14,12 @@ ANALYTIC = {
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
-def test_small_populations_materialise(space, kind):
-    idx = make_index(kind, f"t_{kind}", space, n_keys=500, key_to_value=lambda k: k * 2)
-    assert isinstance(idx, MATERIALISED[kind])
+def test_small_populations_use_layout_models(space, kind):
+    idx = make_index(
+        kind, f"t_{kind}", space, n_keys=500,
+        key_to_value=lambda k: k * 2 if 0 <= k < 500 else None,
+    )
+    assert isinstance(idx, ANALYTIC[kind])
     assert idx.probe(100) == 200
     assert idx.probe(500) is None
 
@@ -39,11 +32,6 @@ def test_large_populations_use_layout_models(space, kind):
     )
     assert isinstance(idx, ANALYTIC[kind])
     assert idx.probe(10**8) == 10**8
-
-@pytest.mark.parametrize("kind", INDEX_KINDS)
-def test_threshold_zero_forces_analytic(space, kind):
-    idx = make_index(kind, f"z_{kind}", space, n_keys=100, materialize_threshold=0)
-    assert isinstance(idx, ANALYTIC[kind])
 
 
 def test_unknown_kind_rejected(space):

@@ -155,18 +155,25 @@ class TestFidelityVsMaterialised:
 
     N = 30_000
 
-    def test_btree_height_matches(self):
-        real = BPlusTree("r", DataAddressSpace(), page_bytes=512)
+    # Node sizes the engines run: DBMS M's cc_btree, VoltDB, and the
+    # disk engines' pages.
+    NODE_BYTES = [256, 512, 2048, 8192]
+
+    @pytest.fixture(scope="class", params=NODE_BYTES)
+    def btrees(self, request):
+        page_bytes = request.param
+        real = BPlusTree("r", DataAddressSpace(), page_bytes=page_bytes)
         for k in range(self.N):
             real.insert(k, k)
-        model = AnalyticBTree("m", DataAddressSpace(), n_keys=self.N, page_bytes=512)
+        model = AnalyticBTree("m", DataAddressSpace(), n_keys=self.N, page_bytes=page_bytes)
+        return real, model
+
+    def test_btree_height_matches(self, btrees):
+        real, model = btrees
         assert abs(model.height - real.height) <= 1
 
-    def test_btree_lines_per_probe_match(self):
-        real = BPlusTree("r", DataAddressSpace(), page_bytes=2048)
-        for k in range(self.N):
-            real.insert(k, k)
-        model = AnalyticBTree("m", DataAddressSpace(), n_keys=self.N, page_bytes=2048)
+    def test_btree_lines_per_probe_match(self, btrees):
+        real, model = btrees
         real_lines = []
         model_lines = []
         for k in range(100, self.N, 2971):

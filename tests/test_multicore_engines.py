@@ -15,7 +15,6 @@ from repro.workloads.microbench import MicroBenchmark
 
 def run_multicore(system: str, n_cores: int = 2, txns: int = 40, partitioned=False):
     config = EngineConfig(
-        materialize_threshold=0,
         n_partitions=n_cores if partitioned else 1,
     )
     engine = make_engine(system, config)
@@ -64,7 +63,7 @@ class TestCorrectnessUnderInterleaving:
     @pytest.mark.parametrize("system", ["shore-mt", "dbms-m", "voltdb"])
     def test_round_robin_commits_all_visible(self, system):
         """Writes from both workers land; a final reader sees them all."""
-        config = EngineConfig(materialize_threshold=0)
+        config = EngineConfig()
         engine = make_engine(system, config)
         engine.create_table(TableSpec("t", microbench_schema(), 1000))
         for i in range(30):

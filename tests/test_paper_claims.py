@@ -145,13 +145,11 @@ class TestCompilationAndIndexes:
         """Figure 13: ~50% reduction (we accept 25%+)."""
         on = run_cell(
             "dbms-m", micro(rows=10), quick=True,
-            engine_config=EngineConfig(index_kind="hash", compilation=True,
-                                       materialize_threshold=0),
+            engine_config=EngineConfig(index_kind="hash", compilation=True),
         )
         off = run_cell(
             "dbms-m", micro(rows=10), quick=True,
-            engine_config=EngineConfig(index_kind="hash", compilation=False,
-                                       materialize_threshold=0),
+            engine_config=EngineConfig(index_kind="hash", compilation=False),
         )
         on_i = on.stalls_per_kilo_instruction.instruction_total
         off_i = off.stalls_per_kilo_instruction.instruction_total
@@ -161,11 +159,11 @@ class TestCompilationAndIndexes:
         """Figure 13: 2-4x more LLC data stalls for the B-tree."""
         hash_cell = run_cell(
             "dbms-m", micro(rows=10), quick=True,
-            engine_config=EngineConfig(index_kind="hash", materialize_threshold=0),
+            engine_config=EngineConfig(index_kind="hash"),
         )
         btree_cell = run_cell(
             "dbms-m", micro(rows=10), quick=True,
-            engine_config=EngineConfig(index_kind="cc_btree", materialize_threshold=0),
+            engine_config=EngineConfig(index_kind="cc_btree"),
         )
         ratio = (
             btree_cell.stalls_per_kilo_instruction.llcd

@@ -170,7 +170,7 @@ class TestQuickPreservesFields:
         # RunSpec later is covered automatically by the fields() sweep.
         full = RunSpec(
             system="voltdb",
-            engine_config=EngineConfig(materialize_threshold=0, n_partitions=3),
+            engine_config=EngineConfig(n_partitions=3),
             n_cores=2,
             seed=777,
             server=IVY_BRIDGE,

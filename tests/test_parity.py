@@ -34,6 +34,10 @@ PINNED = [
     "fig12 --quick",
     # Two views of one experiment, one of them an x-value subset.
     "fig2 fig3 --quick",
+    # The storage paths the pins above miss: 4-partition VoltDB TPC-C
+    # with range scans (fig17), String keys (fig15), DBMS M's hash and
+    # cc_btree index variants (fig14).
+    "fig14 fig15 fig17 --quick",
     "chaos --quick",
     f"{CHAOS_REPLICATED} async",
     f"{CHAOS_REPLICATED} sync-one",

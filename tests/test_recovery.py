@@ -6,7 +6,6 @@ import pytest
 
 from repro.engines.base import UserAbort
 from repro.engines.common import TableSpec
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine, retained_log
 from repro.faults import FaultInjector, FaultSpec, SimulatedCrash, WAL_AFTER_APPEND
 from repro.storage.recovery import (
@@ -27,7 +26,7 @@ N_ROWS = 500
 
 
 def shore_with_log(system="shore-mt"):
-    engine = make_engine(system, EngineConfig(materialize_threshold=0))
+    engine = make_engine(system)
     engine.wal.retain_all = True
     engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))
     return engine
@@ -137,7 +136,7 @@ class TestEndToEnd:
 
 
 def engine_with_log(system):
-    engine = make_engine(system, EngineConfig(materialize_threshold=0))
+    engine = make_engine(system)
     log = engine.recovery_log()
     log.retain_all = True
     engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))

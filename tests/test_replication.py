@@ -12,7 +12,6 @@ import pytest
 
 from repro.engines.base import COMMITTED
 from repro.engines.common import TableSpec
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.faults import (
     FaultInjector,
@@ -52,7 +51,7 @@ def _record(lsn, txn_id=1, kind="update", payload=("t", 0, (0, 0))):
 
 def _engine_factory(system="shore-mt"):
     def factory():
-        engine = make_engine(system, EngineConfig(materialize_threshold=0))
+        engine = make_engine(system)
         log = engine.recovery_log()
         log.retain_all = True
         engine.create_table(TableSpec("t", microbench_schema(), N_ROWS, grows=True))

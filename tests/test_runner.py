@@ -11,9 +11,9 @@ from repro.bench.runner import (
 )
 from repro.core.machine import Machine
 from repro.engines.base import UserAbort
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.engines.common import TableSpec
+from repro.storage.layout_models import AnalyticART
 from repro.storage.record import microbench_schema
 from repro.workloads.base import Workload
 from repro.workloads.microbench import MicroBenchmark
@@ -37,12 +37,14 @@ class TestRunSpec:
         assert quick.measure_events == QUICK_MEASURE_EVENTS
 
     def test_defaults_force_analytic_indexes(self):
-        assert RunSpec(system="hyper").engine_config.materialize_threshold == 0
+        engine = make_engine("hyper", RunSpec(system="hyper").engine_config)
+        engine.create_table(TableSpec("t", microbench_schema(), 10))
+        assert isinstance(engine.table("t")._parts[0][1], AnalyticART)
 
 
 class TestPrewarm:
     def test_prewarm_fills_llc(self):
-        engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+        engine = make_engine("hyper")
         engine.create_table(TableSpec("t", microbench_schema(), 10**7))
         machine = Machine()
         prewarm_llc(machine, engine)
@@ -51,14 +53,13 @@ class TestPrewarm:
         assert llc.stats.accesses == 0  # fills do not pollute counters
 
     def test_prewarm_prioritises_small_regions(self):
-        engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+        engine = make_engine("hyper")
         engine.create_table(TableSpec("t", microbench_schema(), 10**9))
         machine = Machine()
         prewarm_llc(machine, engine)
         # The index root level (smallest region) must be resident.
-        index = engine.table("t").index
-        root_region = index._level_regions[0]
-        assert machine.hierarchy.llc.contains(root_region.base_line)
+        root_base, _ = engine.table("t").hot_regions()[0]
+        assert machine.hierarchy.llc.contains(root_base)
 
 
 class TestRun:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.storage.record import LONG, STRING50
 from repro.workloads.base import PAPER_DB_SIZES, size_label
@@ -50,7 +49,7 @@ class TestGeneration:
     def test_read_only_body_reads(self):
         wl = self.wl(rows_per_txn=10)
         rng = random.Random(0)
-        engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+        engine = make_engine("hyper")
         wl.setup(engine)
         proc, body = wl.next_transaction(rng)
         assert "ro" in proc
@@ -60,7 +59,7 @@ class TestGeneration:
     def test_read_write_body_updates(self):
         wl = self.wl(read_write=True, rows_per_txn=3)
         rng = random.Random(0)
-        engine = make_engine("voltdb", EngineConfig(materialize_threshold=0))
+        engine = make_engine("voltdb")
         wl.setup(engine)
         proc, body = wl.next_transaction(rng)
         assert "rw" in proc

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.workloads.tpcb import ACCOUNTS_PER_BRANCH, TELLERS_PER_BRANCH, TPCB
 
@@ -16,7 +15,7 @@ def wl() -> TPCB:
 
 @pytest.fixture
 def engine(wl):
-    engine = make_engine("dbms-m", EngineConfig(materialize_threshold=0))
+    engine = make_engine("dbms-m")
     wl.setup(engine)
     return engine
 

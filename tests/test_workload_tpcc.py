@@ -26,7 +26,7 @@ def wl() -> TPCC:
 
 @pytest.fixture
 def engine(wl):
-    engine = make_engine("dbms-m", EngineConfig(index_kind="cc_btree", materialize_threshold=0))
+    engine = make_engine("dbms-m", EngineConfig(index_kind="cc_btree"))
     wl.setup(engine)
     return engine
 
@@ -137,7 +137,6 @@ class TestTransactions:
         for system in ALL_SYSTEMS:
             config = EngineConfig(
                 index_kind="cc_btree" if system == "dbms-m" else None,
-                materialize_threshold=0,
             )
             engine = make_engine(system, config)
             wl.setup(engine)
@@ -157,7 +156,7 @@ class TestTransactions:
             assert w == 1  # 4 warehouses over 4 partitions
 
     def test_one_percent_rollback(self, wl):
-        engine = make_engine("hyper", EngineConfig(materialize_threshold=0))
+        engine = make_engine("hyper")
         wl.setup(engine)
         rng = random.Random(9)
         executed = 0

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from repro.engines.config import EngineConfig
 from repro.engines.registry import make_engine
 from repro.workloads.tpce_lite import (
     ACCOUNTS_PER_CUSTOMER,
@@ -24,7 +23,7 @@ def wl() -> TPCELite:
 
 @pytest.fixture
 def engine(wl):
-    engine = make_engine("voltdb", EngineConfig(materialize_threshold=0))
+    engine = make_engine("voltdb")
     wl.setup(engine)
     return engine
 
@@ -104,7 +103,7 @@ class TestTransactions:
 
         rng = random.Random(5)
         for system in ALL_SYSTEMS:
-            engine = make_engine(system, EngineConfig(materialize_threshold=0))
+            engine = make_engine(system)
             wl.setup(engine)
             for _ in range(12):
                 kind, body = wl.next_transaction(rng)
