@@ -10,7 +10,7 @@ attributed to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.bench.runner import RunSpec, prewarm_llc
 from repro.core.machine import (
@@ -19,7 +19,6 @@ from repro.core.machine import (
     M_IF_L1M,
     M_IF_LLCM,
     M_INSTR,
-    Machine,
 )
 from repro.core.profiler import Profiler
 from repro.engines.registry import boot_engine
@@ -53,7 +52,7 @@ def profile_modules(
     """Run one cell and return its per-module profile, hottest first."""
     workload = workload_factory()
     engine = boot_engine(spec.system, spec.engine_config, workload)
-    machine = Machine(spec.server, n_cores=1, overlap=spec.overlap)
+    machine = replace(spec, n_cores=1).machine()
     prewarm_llc(machine, engine)
     rng = root_rng(spec.seed, "workload")
 

@@ -20,8 +20,10 @@ Usage::
 ``serve``, ``diff``, ``history`` and ``store`` are proper subcommands
 with their own options; mixing them with figure ids is rejected with a
 clear message instead of falling through to the figure registry.
-Out-of-range option values (a negative ``--remote-pct``, ``--shards 0``,
-...) are rejected with exit code 2 before any work runs.
+The CLI only parses: ``chaos`` and ``load`` build their specs before
+any work runs, and a spec's ``ValueError`` (a negative
+``--remote-pct``, ``--shards 0``, an unknown system, ...) exits 2 with
+usage.  The CLI itself checks only which options go together.
 """
 
 from __future__ import annotations
@@ -34,16 +36,23 @@ from repro.bench.figures import ALL_IDS, figure_key, run_figure, run_figures
 from repro.bench.report import render_figure
 from repro.util.clock import wall_timer
 
-SUBCOMMANDS = (
-    "chaos", "validate", "perf", "load", "trace", "top",
-    "serve", "diff", "history", "store",
-)
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an int no smaller than *minimum*."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum} (got {value})")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_int_at_least(0),
         default=1,
         metavar="N",
         help=(
@@ -58,7 +67,7 @@ def _resolve_jobs(jobs: int) -> int:
         from repro.util.fanout import default_jobs
 
         return default_jobs()
-    return max(1, jobs)
+    return jobs
 
 
 def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
@@ -104,6 +113,13 @@ def _report_sanitizer(label: str, drained: dict[str, int] | None = None) -> int:
 
 
 def _chaos_main(argv: list[str]) -> int:
+    from repro.engines.registry import ALL_SYSTEMS
+    from repro.faults.chaos import ChaosSpec, default_workload_factories, run_chaos_suite
+    from repro.lint import sanitizer
+    from repro.replication import ACK_MODES
+    from repro.sharding import ShardedChaosSpec, run_sharded_chaos_suite
+
+    workloads = list(default_workload_factories())
     parser = argparse.ArgumentParser(
         prog="repro-bench chaos",
         description="Fault-injection & crash-recovery suite.",
@@ -113,8 +129,8 @@ def _chaos_main(argv: list[str]) -> int:
         "--systems", nargs="+", default=None, help="systems to run (default: all five)"
     )
     parser.add_argument(
-        "--workloads", nargs="+", default=None,
-        help="workloads to run (micro, tpcc; default: both)",
+        "--workloads", nargs="+", default=None, choices=workloads, metavar="WORKLOADS",
+        help=f"workloads to run ({', '.join(workloads)}; default: both)",
     )
     parser.add_argument("--seed", type=int, default=1, help="fault-schedule seed")
     parser.add_argument("--txns", type=int, default=None, help="transactions per run")
@@ -124,7 +140,7 @@ def _chaos_main(argv: list[str]) -> int:
         help="WAL-shipping replicas per run (0 = replication off)",
     )
     parser.add_argument(
-        "--ack", default="async", choices=("async", "sync-one", "quorum"),
+        "--ack", default="async", choices=ACK_MODES,
         help="client acknowledgement mode when --replicas > 0",
     )
     parser.add_argument(
@@ -137,7 +153,7 @@ def _chaos_main(argv: list[str]) -> int:
         help="multisite fraction of NewOrder/Payment when --shards is given",
     )
     parser.add_argument(
-        "--seeds", type=int, default=1,
+        "--seeds", type=_int_at_least(1), default=1,
         help="number of seeds to sweep, starting at --seed (sharded suite)",
     )
     _add_jobs_argument(parser)
@@ -152,29 +168,6 @@ def _chaos_main(argv: list[str]) -> int:
     )
     _add_store_dir_argument(parser)
     args = parser.parse_args(argv)
-    # Validate before any work: a nonsensical value must die with exit
-    # code 2 and a usage line, not crash three suites in or silently run
-    # a misconfigured sweep (a 150% remote fraction used to be accepted).
-    if args.shards is not None and args.shards < 1:
-        parser.error(
-            f"--shards must be >= 1 (got {args.shards}); "
-            "omit --shards for the classic single-node suite"
-        )
-    if not 0.0 <= args.remote_pct <= 100.0:
-        parser.error(
-            f"--remote-pct is a percentage and must be in [0, 100] "
-            f"(got {args.remote_pct:g})"
-        )
-    if args.replicas < 0:
-        parser.error(f"--replicas must be >= 0 (got {args.replicas})")
-    if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1 (got {args.seeds})")
-    if args.txns is not None and args.txns < 1:
-        parser.error(f"--txns must be >= 1 (got {args.txns})")
-    if args.crashes is not None and args.crashes < 0:
-        parser.error(f"--crashes must be >= 0 (got {args.crashes})")
-    if args.jobs < 0:
-        parser.error(f"--jobs must be >= 0 (got {args.jobs})")
     # Reject options the chosen suite would silently ignore.
     if args.shards is not None and (
         args.workloads or args.quick or len(args.systems or ()) > 1
@@ -183,43 +176,40 @@ def _chaos_main(argv: list[str]) -> int:
                      "--quick and extra --systems")
     if args.shards is None and args.seeds > 1:
         parser.error("--seeds sweeps the sharded suite; it needs --shards")
-
-    from contextlib import nullcontext
-
-    from repro.lint import sanitizer
+    # The specs validate every value before any work starts: a bad one
+    # exits 2 with usage.  Unset --txns/--crashes keep the spec defaults.
+    fields = dict(seed=args.seed, replicas=args.replicas, ack=args.ack)
+    for name, value in (("n_txns", args.txns), ("n_crashes", args.crashes)):
+        if value is not None:
+            fields[name] = value
+    try:
+        if args.shards is not None:
+            if args.systems:
+                fields["system"] = args.systems[0]
+            spec = ShardedChaosSpec(
+                n_shards=args.shards, remote_pct=args.remote_pct, **fields
+            )
+        else:
+            make_spec = ChaosSpec.quick if args.quick else ChaosSpec
+            specs = [make_spec(system, **fields) for system in args.systems or ALL_SYSTEMS]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     # The sanitizer only watches (TrackedRandom draws bit-identically),
     # so the report on stdout matches the unsanitized run byte-for-byte.
     cells: list | None = [] if args.record else None
-    with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
+    with sanitizer.sanitizing(args.sanitize):
         if args.shards is not None:
-            from repro.sharding import run_sharded_chaos_suite
-
-            system = (args.systems or ["shore-mt"])[0]
             text, ok = run_sharded_chaos_suite(
-                system=system,
-                n_shards=args.shards,
-                remote_pct=args.remote_pct,
-                replicas=args.replicas,
-                ack=args.ack,
+                spec=spec,
                 seeds=range(args.seed, args.seed + args.seeds),
-                n_txns=args.txns,
-                n_crashes=args.crashes,
                 jobs=_resolve_jobs(args.jobs),
                 collect=cells,
             )
         else:
-            from repro.faults.chaos import run_chaos_suite
-
             text, ok = run_chaos_suite(
-                systems=args.systems,
+                specs=specs,
                 workloads=args.workloads,
-                quick=args.quick,
-                seed=args.seed,
-                n_txns=args.txns,
-                n_crashes=args.crashes,
-                replicas=args.replicas,
-                ack=args.ack,
                 jobs=_resolve_jobs(args.jobs),
                 collect=cells,
             )
@@ -309,6 +299,14 @@ def _perf_main(argv: list[str]) -> int:
 
 
 def _load_main(argv: list[str]) -> int:
+    from repro.lint import sanitizer
+    from repro.load import ARRIVAL_PROCESSES, MIXES, ArrivalSpec, LoadSpec, run_load
+    from repro.load.arrivals import DEFAULT_STREAMS
+    from repro.load.driver import DEFAULT_MULTIPLIERS
+    from repro.load.report import load_record, render_load_report
+    from repro.load.resilience import ResilienceSpec, chaos_suite
+    from repro.replication import ACK_MODES
+
     parser = argparse.ArgumentParser(
         prog="repro-bench load",
         description=(
@@ -323,12 +321,11 @@ def _load_main(argv: list[str]) -> int:
         metavar="N", help="simulated clients (arrival streams scale O(1) in N)",
     )
     parser.add_argument(
-        "--arrival", default="poisson", choices=("poisson", "burst", "flash"),
+        "--arrival", default="poisson", choices=ARRIVAL_PROCESSES,
         help="arrival process shaping the offered rate over virtual time",
     )
     parser.add_argument(
-        "--mix", default="read-write",
-        choices=("read-only", "read-write", "write-only", "incremental-write"),
+        "--mix", default="read-write", choices=list(MIXES),
         help="transaction mix the clients submit",
     )
     parser.add_argument(
@@ -344,7 +341,7 @@ def _load_main(argv: list[str]) -> int:
         help="timeline events per sweep point",
     )
     parser.add_argument(
-        "--streams", type=int, default=None, metavar="N",
+        "--streams", type=int, default=DEFAULT_STREAMS, metavar="N",
         help="arrival streams (client cohorts); default 32",
     )
     parser.add_argument(
@@ -365,7 +362,7 @@ def _load_main(argv: list[str]) -> int:
         help="WAL-shipping replicas (per shard when --shards > 0)",
     )
     parser.add_argument(
-        "--ack", default="quorum", choices=("async", "sync-one", "quorum"),
+        "--ack", default="quorum", choices=ACK_MODES,
         help="client acknowledgement mode when --replicas > 0",
     )
     parser.add_argument(
@@ -377,7 +374,7 @@ def _load_main(argv: list[str]) -> int:
         help="per-transaction probability of an injected abort",
     )
     parser.add_argument(
-        "--multipliers", type=float, nargs="+", default=None,
+        "--multipliers", type=float, nargs="+", default=DEFAULT_MULTIPLIERS,
         metavar="M", help="offered-load multipliers (default: 0.25 0.5 1 2 4)",
     )
     parser.add_argument("--seed", type=int, default=42, help="arrival-stream seed")
@@ -430,100 +427,49 @@ def _load_main(argv: list[str]) -> int:
     )
     _add_store_dir_argument(parser)
     args = parser.parse_args(argv)
-    # Same validation rigor as chaos: die with exit 2 before any work.
-    if args.clients < 1:
-        parser.error(f"--clients must be >= 1 (got {args.clients})")
-    if args.rate is not None and args.rate <= 0:
-        parser.error(f"--rate must be > 0 (got {args.rate:g})")
-    if args.events < 1:
-        parser.error(f"--events must be >= 1 (got {args.events})")
-    if args.streams is not None and args.streams < 1:
-        parser.error(f"--streams must be >= 1 (got {args.streams})")
-    if args.think_ms < 0:
-        parser.error(f"--think-ms must be >= 0 (got {args.think_ms:g})")
-    if args.servers < 1:
-        parser.error(f"--servers must be >= 1 (got {args.servers})")
-    if args.shards < 0:
-        parser.error(f"--shards must be >= 0 (got {args.shards})")
-    if args.replicas < 0:
-        parser.error(f"--replicas must be >= 0 (got {args.replicas})")
-    if not 0.0 <= args.remote_pct <= 100.0:
-        parser.error(
-            f"--remote-pct is a percentage and must be in [0, 100] "
-            f"(got {args.remote_pct:g})"
-        )
-    if not 0.0 <= args.fault_rate < 1.0:
-        parser.error(f"--fault-rate must be in [0, 1) (got {args.fault_rate:g})")
-    if args.multipliers is not None and any(m <= 0 for m in args.multipliers):
-        parser.error("--multipliers must all be > 0")
-    if args.jobs < 0:
-        parser.error(f"--jobs must be >= 0 (got {args.jobs})")
-    if args.chaos_windows < 1:
-        parser.error(f"--chaos-windows must be >= 1 (got {args.chaos_windows})")
-    if args.timeout_ms < 0:
-        parser.error(f"--timeout-ms must be >= 0 (got {args.timeout_ms:g})")
-    if args.retry < 0:
-        parser.error(f"--retry must be >= 0 (got {args.retry})")
-    if args.shed < 0:
-        parser.error(f"--shed must be >= 0 (got {args.shed})")
-    if args.breaker < 0:
-        parser.error(f"--breaker must be >= 0 (got {args.breaker})")
-
-    from contextlib import nullcontext
-
-    from repro.lint import sanitizer
-    from repro.load import ArrivalSpec, LoadSpec, run_load
-    from repro.load.report import load_record, render_load_report
-
-    arrival_kwargs = dict(
-        process=args.arrival,
-        n_clients=args.clients,
-        n_events=args.events,
-        think_ms=args.think_ms,
-    )
-    if args.streams is not None:
-        arrival_kwargs["n_streams"] = args.streams
-    spec_kwargs = dict(
-        system=args.system,
-        mix=args.mix,
-        arrival=ArrivalSpec(**arrival_kwargs),
-        rate=args.rate,
-        servers=args.servers,
-        shards=args.shards,
-        replicas=args.replicas,
-        ack=args.ack,
-        remote_pct=args.remote_pct,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-    )
-    if args.multipliers is not None:
-        spec_kwargs["multipliers"] = tuple(args.multipliers)
-    if args.chaos is not None:
-        from repro.load.resilience import chaos_suite
-
-        try:
-            spec_kwargs["chaos"] = chaos_suite(
-                args.chaos, windows_per_kind=args.chaos_windows
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    if any((args.timeout_ms, args.retry, args.shed, args.breaker)):
-        from repro.load.resilience import ResilienceSpec
-
-        spec_kwargs["resilience"] = ResilienceSpec(
-            timeout_ms=args.timeout_ms,
-            max_retries=args.retry,
-            shed_depth=args.shed,
-            breaker_threshold=args.breaker,
-        )
+    # The specs validate every value before any work starts: a bad one
+    # exits 2 with usage.
     try:
-        spec = LoadSpec(**spec_kwargs)
+        spec = LoadSpec(
+            system=args.system,
+            mix=args.mix,
+            arrival=ArrivalSpec(
+                process=args.arrival,
+                n_clients=args.clients,
+                n_events=args.events,
+                n_streams=args.streams,
+                think_ms=args.think_ms,
+            ),
+            rate=args.rate,
+            servers=args.servers,
+            shards=args.shards,
+            replicas=args.replicas,
+            ack=args.ack,
+            remote_pct=args.remote_pct,
+            fault_rate=args.fault_rate,
+            seed=args.seed,
+            multipliers=tuple(args.multipliers),
+            chaos=(
+                chaos_suite(args.chaos, windows_per_kind=args.chaos_windows)
+                if args.chaos is not None else None
+            ),
+            resilience=(
+                ResilienceSpec(
+                    timeout_ms=args.timeout_ms,
+                    max_retries=args.retry,
+                    shed_depth=args.shed,
+                    breaker_threshold=args.breaker,
+                )
+                if any((args.timeout_ms, args.retry, args.shed, args.breaker))
+                else None
+            ),
+        )
     except ValueError as exc:
         parser.error(str(exc))
     # Stdout is a pure function of the seed (no wall clock, no host
     # facts) so serial vs --jobs N and sanitized vs plain runs byte-diff
     # clean; timestamps/provenance live only in the stored run.
-    with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
+    with sanitizer.sanitizing(args.sanitize):
         result = run_load(spec, jobs=_resolve_jobs(args.jobs))
         print(render_load_report(result))
         status = 0
@@ -537,7 +483,7 @@ def _load_main(argv: list[str]) -> int:
         from repro.store import LOAD, check_load_regression, find_load_baseline
 
         candidates = [store.get(meta["run_id"]) for meta in store.list_runs(LOAD)]
-        if find_load_baseline(fresh.spec, candidates) is None:
+        if find_load_baseline(fresh, candidates) is None:
             # A gate that silently passes because nothing matched is a
             # gate that never fires: make the missing baseline loud and
             # distinguishable (exit 2) from a real regression (exit 1).
@@ -546,7 +492,7 @@ def _load_main(argv: list[str]) -> int:
             print(
                 "load check: no matching baseline — no stored run "
                 "shares this spec (system/mix/backend/chaos/resilience/"
-                "seed); this run is recorded as the baseline unless "
+                "seed/rate/multipliers); this run is recorded as the baseline unless "
                 "--no-save was given",
                 file=sys.stderr,
             )
@@ -747,11 +693,8 @@ def _diff_main(argv: list[str]) -> int:
     store = _open_store(args.store_dir)
     try:
         diff = diff_runs(store.get(args.run_a), store.get(args.run_b))
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
         return 2
     print(render_diff(diff))
     return 0 if diff.ok else 1
@@ -864,7 +807,7 @@ def _figures_main(argv: list[str]) -> int:
     panels: list = []
     # Like --obs, --sanitize must not change stdout: TrackedRandom draws
     # bit-identically and the verdict goes to stderr.
-    with sanitizer.sanitizing(True) if args.sanitize else nullcontext():
+    with sanitizer.sanitizing(args.sanitize):
         started = wall_timer()
         # Figure output is bit-identical with or without --obs; the span
         # tally goes to stderr so stdout stays comparable.
@@ -916,25 +859,27 @@ def _figures_main(argv: list[str]) -> int:
     return status
 
 
+SUBCOMMANDS = {
+    "chaos": _chaos_main,
+    "validate": _validate_main,
+    "perf": _perf_main,
+    "load": _load_main,
+    "trace": _trace_main,
+    "top": _top_main,
+    "serve": _serve_main,
+    "diff": _diff_main,
+    "history": _history_main,
+    "store": _store_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     first_positional = next((a for a in argv if not a.startswith("-")), None)
     if first_positional in SUBCOMMANDS:
         rest = list(argv)
         rest.remove(first_positional)
-        dispatch = {
-            "chaos": _chaos_main,
-            "validate": _validate_main,
-            "perf": _perf_main,
-            "load": _load_main,
-            "trace": _trace_main,
-            "top": _top_main,
-            "serve": _serve_main,
-            "diff": _diff_main,
-            "history": _history_main,
-            "store": _store_main,
-        }
-        return dispatch[first_positional](rest)
+        return SUBCOMMANDS[first_positional](rest)
     return _figures_main(argv)
 
 

@@ -88,6 +88,17 @@ class RunSpec:
             repetitions=1,
         )
 
+    def machine(self) -> Machine:
+        """The simulated server this cell is priced on."""
+        return Machine(
+            self.server,
+            n_cores=self.n_cores,
+            overlap=self.overlap,
+            serial_miss_extra_cycles=self.serial_miss_extra_cycles,
+            tlb_mode=self.tlb_mode,
+            tlb_spec=self.tlb_spec,
+        )
+
     def rep_seed(self, rep: int) -> int:
         """Deterministic seed for repetition *rep* (0-based).
 
@@ -200,14 +211,7 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
     obs_mark = obs.mark()
     with obs.span("setup", track="harness", cat="harness", system=spec.system):
         engine = boot_engine(spec.system, config, workload)
-        machine = Machine(
-            spec.server,
-            n_cores=spec.n_cores,
-            overlap=spec.overlap,
-            serial_miss_extra_cycles=spec.serial_miss_extra_cycles,
-            tlb_mode=spec.tlb_mode,
-            tlb_spec=spec.tlb_spec,
-        )
+        machine = spec.machine()
     prewarm_llc(machine, engine)
 
     rng = root_rng(seed, "workload")

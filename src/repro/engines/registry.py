@@ -56,6 +56,17 @@ def canonical_name(system: str) -> str:
     return key
 
 
+def check_system(system: str) -> None:
+    """Raise ``ValueError`` unless *system* names an engine (aliases count).
+
+    Specs call this to validate a name without rewriting it.
+    """
+    try:
+        canonical_name(system)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
 def make_engine(system: str, config: EngineConfig | None = None) -> Engine:
     """Instantiate a system by (paper) name."""
     return ENGINE_CLASSES[canonical_name(system)](config)

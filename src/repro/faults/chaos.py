@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro import obs
 from repro.engines.base import COMMITTED, EngineStats
 from repro.engines.config import EngineConfig
-from repro.engines.registry import ALL_SYSTEMS, boot_node, canonical_name
+from repro.engines.registry import boot_node, canonical_name, check_system
 from repro.faults.injector import (
     ABORT,
     CRASH,
@@ -81,7 +81,8 @@ from repro.faults.injector import (
 )
 from repro.faults.invariants import tpcc_invariants
 from repro.lint import sanitizer
-from repro.replication import ACK_MODES, ReplicationGroup, ReplicationSpec, SingleNode
+from repro.replication import ReplicationGroup, ReplicationSpec, SingleNode
+from repro.replication.group import check_ack
 from repro.storage.recovery import replay, take_checkpoint, verify_against_engine
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng, root_rng
@@ -104,12 +105,13 @@ _AT_HIT_RANGES = {
 _DEFAULT_AT_HIT_RANGE = (1, 15)
 
 
-def check_ack_and_net_kinds(spec) -> None:
-    """Reject an unknown ack mode or network fault kind on a chaos spec."""
-    if spec.ack not in ACK_MODES:
-        raise ValueError(
-            f"unknown ack mode {spec.ack!r}; known: {', '.join(ACK_MODES)}"
-        )
+def check_chaos_spec(spec) -> None:
+    """The rules every chaos spec shares: at least one transaction, no
+    negative crash count, and only known network fault kinds."""
+    if spec.n_txns < 1:
+        raise ValueError(f"n_txns must be >= 1 (got {spec.n_txns})")
+    if spec.n_crashes is not None and spec.n_crashes < 0:
+        raise ValueError(f"n_crashes must be >= 0 (got {spec.n_crashes})")
     unknown = set(spec.net_kinds or ()) - set(NETWORK_KINDS)
     if unknown:
         raise ValueError(
@@ -230,9 +232,11 @@ class ChaosSpec:
     engine_config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
+        check_system(self.system)
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
-        check_ack_and_net_kinds(self)
+        check_ack(self.ack)
+        check_chaos_spec(self)
 
     @classmethod
     def quick(cls, system: str, **overrides) -> "ChaosSpec":
@@ -532,45 +536,30 @@ def _run_suite_task(task: tuple[ChaosSpec, str]) -> tuple[str, bool, tuple[str, 
 
 
 def run_chaos_suite(
-    systems=None,
-    workloads=None,
-    *,
-    quick: bool = False,
-    seed: int = 1,
-    n_txns: int | None = None,
-    n_crashes: int | None = None,
-    replicas: int = 0,
-    ack: str = "async",
-    jobs: int = 1,
-    collect: list | None = None,
+    specs, workloads=None, *, jobs: int = 1, collect: list | None = None
 ) -> tuple[str, bool]:
-    """Run the chaos matrix; returns (report text, all passed).
+    """Run every spec on every workload; returns (report text, all passed).
 
-    Every (system, workload) pair is one cell of :func:`run_suite`:
+    *specs* holds one :class:`ChaosSpec` per system; *workloads* names
+    workloads of :func:`default_workload_factories` (default: all).
+    Each (spec, workload) pair is one cell of :func:`run_suite`:
     ``jobs > 1`` fans cells out, the report is bit-identical to the
     serial run, a failing verdict names the violated invariants, and
     *collect* receives one dict per cell.
     """
-    names = [canonical_name(s) for s in systems] if systems else list(ALL_SYSTEMS)
+    if not specs:
+        raise ValueError("a chaos suite needs at least one spec")
     factories = default_workload_factories()
-    if workloads:
-        unknown = [w for w in workloads if w not in factories]
-        if unknown:
-            raise KeyError(
-                f"unknown chaos workload(s) {', '.join(unknown)}; "
-                f"known: {', '.join(factories)}"
-            )
-        factories = {name: factories[name] for name in workloads}
-    overrides: dict = {"replicas": replicas, "ack": ack}
-    if n_txns is not None:
-        overrides["n_txns"] = n_txns
-    if n_crashes is not None:
-        overrides["n_crashes"] = n_crashes
-    make_spec = ChaosSpec.quick if quick else ChaosSpec
+    unknown = [w for w in workloads or () if w not in factories]
+    if unknown:
+        raise ValueError(
+            f"unknown chaos workload(s) {', '.join(unknown)}; "
+            f"known: {', '.join(factories)}"
+        )
     tasks = [
-        (make_spec(system, seed=seed, **overrides), workload_name)
-        for system in names
-        for workload_name in factories
+        (replace(spec, system=canonical_name(spec.system)), workload_name)
+        for spec in specs
+        for workload_name in workloads or factories
     ]
     return run_suite(
         _run_suite_task, tasks, jobs=jobs, collect=collect,

@@ -41,7 +41,7 @@ from repro.bench.runner import prewarm_llc
 from repro.core.machine import Machine
 from repro.core.spec import IVY_BRIDGE
 from repro.engines.base import COMMITTED
-from repro.engines.registry import boot_node
+from repro.engines.registry import boot_node, check_system
 from repro.faults.injector import (
     ABORT,
     COORDINATOR_CRASH,
@@ -67,11 +67,11 @@ from repro.load.resilience import (
 )
 from repro.load.scenarios import INSERT, MIXES, READ, UPDATE, Mix
 from repro.replication.group import (
-    ACK_MODES,
     PRIMARY_NODE,
     ReplicationGroup,
     ReplicationSpec,
     SingleNode,
+    check_ack,
 )
 from repro.sharding.cluster import ShardSpec, ShardedCluster
 from repro.storage.record import LONG
@@ -123,6 +123,7 @@ class LoadSpec:
     resilience: ResilienceSpec | None = None
 
     def __post_init__(self) -> None:
+        check_system(self.system)
         if self.mix not in MIXES:
             raise ValueError(
                 f"unknown mix {self.mix!r}; known: {', '.join(sorted(MIXES))}"
@@ -135,10 +136,7 @@ class LoadSpec:
             raise ValueError("n_rows must be >= 1000 (microbench minimum)")
         if self.shards < 0 or self.replicas < 0:
             raise ValueError("shards/replicas must be >= 0")
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
+        check_ack(self.ack)
         if not 0.0 <= self.remote_pct <= 100.0:
             raise ValueError("remote_pct must be in [0, 100]")
         if not 0.0 <= self.fault_rate < 1.0:

@@ -62,6 +62,12 @@ ACK_MODES = (ASYNC, SYNC_ONE, QUORUM)
 PRIMARY_NODE = "primary"
 
 
+def check_ack(ack: str) -> None:
+    """Raise ``ValueError`` unless *ack* is one of :data:`ACK_MODES`."""
+    if ack not in ACK_MODES:
+        raise ValueError(f"unknown ack mode {ack!r}; known: {', '.join(ACK_MODES)}")
+
+
 @dataclass(frozen=True)
 class ReplicationSpec:
     """Shape of a replication group and its client-side ack policy."""
@@ -80,10 +86,7 @@ class ReplicationSpec:
     def __post_init__(self) -> None:
         if self.n_replicas < 1:
             raise ValueError("a replication group needs n_replicas >= 1")
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
+        check_ack(self.ack)
 
     def quorum_size(self) -> int:
         """Majority of the ``1 + n_replicas`` nodes (primary included)."""

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.engines.base import COMMITTED, EngineStats
 from repro.engines.config import EngineConfig
 from repro.engines.registry import canonical_name
 from repro.faults.chaos import (
-    check_ack_and_net_kinds,
+    check_chaos_spec,
     drive_segments,
     invariant_names,
     run_suite,
@@ -94,7 +94,10 @@ class ShardedChaosSpec:
     engine_config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
-        check_ack_and_net_kinds(self)
+        check_chaos_spec(self)
+        # The system, shard count, remote fraction, replicas and ack
+        # mode are ShardSpec's to validate.
+        self.shard_spec()
 
     def shard_spec(self) -> ShardSpec:
         return ShardSpec(
@@ -259,19 +262,9 @@ def _run_sharded_task(task: tuple[ShardedChaosSpec, str]) -> tuple[str, bool, tu
 
 
 def run_sharded_chaos_suite(
-    *,
-    system: str = "shore-mt",
-    n_shards: int = 2,
-    remote_pct: float = 20.0,
-    replicas: int = 0,
-    ack: str = "async",
-    seeds=(1,),
-    n_txns: int | None = None,
-    n_crashes: int | None = None,
-    jobs: int = 1,
-    collect: list | None = None,
+    spec: ShardedChaosSpec, seeds, *, jobs: int = 1, collect: list | None = None
 ) -> tuple[str, bool]:
-    """Run the sharded chaos sweep over *seeds*; returns (report, ok).
+    """Run *spec* once per seed in *seeds*; returns (report, ok).
 
     Each seed is an independent cell of
     :func:`repro.faults.chaos.run_suite` (its own cluster, schedule and
@@ -279,27 +272,15 @@ def run_sharded_chaos_suite(
     bit-identical to the serial run, and *collect* receives one dict
     per cell (workload ``tpcc``).
     """
-    overrides: dict = {}
-    if n_txns is not None:
-        overrides["n_txns"] = n_txns
-    if n_crashes is not None:
-        overrides["n_crashes"] = n_crashes
-    tasks = [
-        (
-            ShardedChaosSpec(
-                system=system, n_shards=n_shards, remote_pct=remote_pct,
-                replicas=replicas, ack=ack, seed=seed, **overrides,
-            ),
-            "tpcc",
-        )
-        for seed in seeds
-    ]
+    tasks = [(replace(spec, seed=seed), "tpcc") for seed in seeds]
+    if not tasks:
+        raise ValueError("a sharded chaos sweep needs at least one seed")
     return run_suite(
         _run_sharded_task, tasks, jobs=jobs, collect=collect,
         label="run_sharded_chaos_suite",
         clean=(
-            f"all {len(tasks)} sharded chaos runs clean "
-            f"({n_shards} shards, {remote_pct:g}% remote, ack={ack})"
+            f"all {len(tasks)} sharded chaos runs clean ({spec.n_shards} "
+            f"shards, {spec.remote_pct:g}% remote, ack={spec.ack})"
         ),
         failure="SHARDED CHAOS FAILURES",
     )

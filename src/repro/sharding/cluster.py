@@ -40,7 +40,7 @@ from repro.engines.base import (
     UserAbort,
 )
 from repro.engines.config import EngineConfig
-from repro.engines.registry import boot_node
+from repro.engines.registry import boot_node, check_system
 from repro.faults.injector import (
     PREPARE_STALL,
     SimulatedCrash,
@@ -50,11 +50,11 @@ from repro.faults.injector import (
 )
 from repro.lint import sanitizer
 from repro.replication.group import (
-    ACK_MODES,
     ASYNC,
     ReplicationGroup,
     ReplicationSpec,
     SingleNode,
+    check_ack,
 )
 from repro.replication.network import SimNetwork
 from repro.storage.recovery import (
@@ -130,14 +130,12 @@ class ShardSpec:
     engine_config: EngineConfig | None = None
 
     def __post_init__(self) -> None:
+        check_system(self.system)
         if self.n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
-        if self.ack not in ACK_MODES:
-            raise ValueError(
-                f"unknown ack mode {self.ack!r}; known: {', '.join(ACK_MODES)}"
-            )
+        check_ack(self.ack)
         if not 0.0 <= self.remote_pct <= 100.0:
             raise ValueError("remote_pct must be within [0, 100]")
 

@@ -453,28 +453,41 @@ _LOAD_BASELINE_KEYS = (
 )
 
 
-def _load_spec_key(spec: dict) -> tuple:
-    return tuple((key, spec.get(key)) for key in _LOAD_BASELINE_KEYS)
+def _load_spec_key(record: RunRecord) -> tuple:
+    """The experiment a load run measured: its spec's comparison fields
+    plus the sweep's base rate and multipliers, which only its payload
+    carries.  A calibrated run's base rate is its probed capacity, so
+    it keys as ``None``: calibrated runs match however capacity moved.
+    """
+    payload = record.payload
+    base_rate = payload.get("base_rate_tps")
+    if base_rate == payload.get("capacity_tps"):
+        base_rate = None
+    multipliers = tuple(point.get("multiplier") for point in payload.get("points", []))
+    return tuple((key, record.spec.get(key)) for key in _LOAD_BASELINE_KEYS) + (
+        ("base_rate_tps", base_rate),
+        ("multipliers", multipliers),
+    )
 
 
 def find_load_baseline(
-    fresh_spec: dict, candidates: list[RunRecord]
+    fresh: RunRecord, candidates: list[RunRecord]
 ) -> RunRecord | None:
-    """The most recent candidate whose spec matches *fresh_spec* on every
-    comparison-relevant field (same virtual experiment, so latencies are
-    directly comparable).
+    """The most recent candidate that ran the same experiment as *fresh*
+    (every comparison-relevant spec field, the base rate and the sweep
+    multipliers), so latencies are directly comparable.
 
-    Tolerant of old or malformed candidates: a record whose spec is not
-    a dict (hand-edited store files) is skipped, not
+    Tolerant of old or malformed candidates: a record whose spec or
+    payload is not a dict (hand-edited store files) is skipped, not
     fatal — the gate must never crash on old history.
     """
-    key = _load_spec_key(fresh_spec)
+    key = _load_spec_key(fresh)
     matching = []
     for record in candidates:
         if record is None or record.kind != LOAD:
             continue
         try:
-            if _load_spec_key(record.spec) == key:
+            if _load_spec_key(record) == key:
                 matching.append(record)
         except (AttributeError, TypeError):
             continue
@@ -493,7 +506,7 @@ def check_load_regression(
     :data:`P999_REGRESSION_TOLERANCE`.  No comparable baseline is not a
     failure — the gate reports so and passes (first run of a new spec).
     """
-    baseline = find_load_baseline(fresh.spec, candidates)
+    baseline = find_load_baseline(fresh, candidates)
     if baseline is None:
         return (
             "load check: no comparable baseline record "

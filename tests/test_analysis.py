@@ -1,5 +1,7 @@
 """Analysis-extension tests: breakdowns, hardware sweeps, skew."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
@@ -13,7 +15,7 @@ from repro.analysis import (
     sweep_skew,
     SkewedMicroBenchmark,
 )
-from repro.bench.runner import RunSpec
+from repro.bench.runner import RunSpec, run_repetition
 from repro.workloads.microbench import MicroBenchmark
 
 
@@ -53,6 +55,25 @@ class TestModuleBreakdown:
         text = render_breakdown(profiles)
         assert "inside the OLTP engine" in text
         assert "parser" in text
+
+
+class TestModuleBreakdownHardware:
+    def test_prices_the_hardware_of_its_spec(self):
+        # A breakdown explains a figure cell, so it must run on that
+        # cell's machine: the TLB mode and the serial-miss surcharge
+        # move its cycles as they move run_repetition's.
+        default = RunSpec(system="hyper").quick()
+        tuned = replace(default, tlb_mode="measured", serial_miss_extra_cycles=300)
+
+        def breakdown_cycles(spec):
+            profiles = profile_modules(spec, micro_factory, measure_txns=40, warmup_txns=10)
+            return sum(p.cycles for p in profiles)
+
+        def repetition_cycles(spec):
+            return run_repetition(spec, micro_factory, spec.seed).counters.cycles
+
+        assert repetition_cycles(tuned) != repetition_cycles(default)
+        assert breakdown_cycles(tuned) != breakdown_cycles(default)
 
 
 class TestHardwareSweeps:

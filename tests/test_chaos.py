@@ -175,6 +175,31 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="network fault kind"):
             ChaosSpec("shore-mt", net_kinds=("gamma-ray",))
 
+    def test_unknown_system_rejected_without_rewriting_aliases(self):
+        with pytest.raises(ValueError, match="unknown system 'nope'"):
+            ChaosSpec("nope")
+        assert ChaosSpec("shore").system == "shore"
+
+    @pytest.mark.parametrize(
+        "overrides", [{"n_txns": 0}, {"n_txns": -5}, {"n_crashes": -1}]
+    )
+    def test_empty_budget_rejected(self, overrides):
+        # n_txns=0 used to pass vacuously; n_crashes=-1 divided by zero.
+        with pytest.raises(ValueError, match="n_txns|n_crashes"):
+            ChaosSpec("hyper", **overrides)
+
+    def test_suite_rejects_bad_input_before_any_work(self, monkeypatch):
+        from repro.faults import chaos as chaos_module
+
+        def no_work(task):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(chaos_module, "_run_suite_task", no_work)
+        with pytest.raises(ValueError, match="at least one spec"):
+            chaos_module.run_chaos_suite([])
+        with pytest.raises(ValueError, match="unknown chaos workload"):
+            chaos_module.run_chaos_suite([ChaosSpec("hyper")], ["nope"])
+
 
 class TestReplicatedChaos:
     @pytest.mark.parametrize("ack", ["async", "sync-one", "quorum"])
@@ -263,7 +288,7 @@ class TestSuiteAndCLI:
             lambda task: ("chaos cell: FAIL", False, ("no-acked-txn-lost",)),
         )
         text, ok = chaos_module.run_chaos_suite(
-            systems=["shore-mt"], workloads=["micro"], quick=True
+            [ChaosSpec.quick("shore-mt")], ["micro"]
         )
         assert not ok
         assert text.splitlines()[-1] == (

@@ -279,6 +279,11 @@ class TestLoadSpec:
         with pytest.raises(ValueError, match="multipliers"):
             quick_spec(multipliers=(1.0, -2.0))
 
+    def test_rejects_unknown_system_without_rewriting_aliases(self):
+        with pytest.raises(ValueError, match="unknown system 'nope'"):
+            quick_spec(system="nope")
+        assert quick_spec(system="HyPer").system == "HyPer"
+
 
 class TestDriver:
     def test_queueing_separated_from_service(self):
@@ -471,6 +476,14 @@ class TestCliValidation:
             ["chaos", "--shards", "2", "--systems", "shore-mt", "hyper"],
             ["chaos", "--shards", "2", "--workloads", "micro"],
             ["chaos", "--shards", "2", "--quick"],
+            ["load", "--system", "nope"],
+            ["chaos", "--systems", "nope"],
+            ["chaos", "--workloads", "nope"],
+            ["table1", "--jobs", "-1"],
+            ["validate", "--jobs", "-1"],
+            ["load", "--events", "0"],
+            ["load", "--streams", "0"],
+            ["load", "--think-ms", "-1"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):

@@ -27,6 +27,7 @@ from repro.sharding import (
     COMMIT,
     PARTITIONED_TABLES,
     ShardSpec,
+    ShardedChaosSpec,
     ShardedCluster,
     cross_shard_invariants,
     run_sharded_chaos_suite,
@@ -238,16 +239,36 @@ class TestCoordinatorCrash:
 class TestChaosSweep:
     def test_fifty_seed_sweep_holds_all_invariants(self):
         report, ok = run_sharded_chaos_suite(
-            n_shards=2, remote_pct=40.0, seeds=range(1, 51), n_txns=16
+            ShardedChaosSpec(n_shards=2, remote_pct=40.0, n_txns=16), range(1, 51)
         )
         assert ok, report
 
     def test_serial_and_parallel_sweeps_byte_identical(self):
-        kwargs = dict(
-            n_shards=3, remote_pct=30.0, replicas=2, ack="quorum",
-            seeds=range(1, 7), n_txns=20,
+        spec = ShardedChaosSpec(
+            n_shards=3, remote_pct=30.0, replicas=2, ack="quorum", n_txns=20
         )
-        serial, ok_s = run_sharded_chaos_suite(jobs=1, **kwargs)
-        fanned, ok_f = run_sharded_chaos_suite(jobs=2, **kwargs)
+        serial, ok_s = run_sharded_chaos_suite(spec, range(1, 7), jobs=1)
+        fanned, ok_f = run_sharded_chaos_suite(spec, range(1, 7), jobs=2)
         assert ok_s and ok_f, serial
         assert serial == fanned
+
+    def test_empty_seed_range_rejected(self):
+        # Used to report "all 0 sharded chaos runs clean" and pass.
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_sharded_chaos_suite(ShardedChaosSpec(), seeds=())
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"n_txns": 0}, "n_txns"),
+            ({"n_crashes": -1}, "n_crashes"),  # used to divide by zero
+            ({"system": "nope"}, "unknown system"),
+            ({"n_shards": 0}, "n_shards"),
+            ({"remote_pct": 150.0}, "remote_pct"),
+            ({"replicas": -1}, "replicas"),
+            ({"ack": "two-phase"}, "ack mode"),
+        ],
+    )
+    def test_spec_rejects_bad_values(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ShardedChaosSpec(**overrides)

@@ -10,6 +10,7 @@ thresholds are pinned against synthetic regressions so the CI gates
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -32,6 +33,7 @@ from repro.store import (
     check_load_regression,
     diff_runs,
     figure_run,
+    find_load_baseline,
     fingerprint,
     load_run,
     metric_history,
@@ -69,6 +71,25 @@ def bench_record(events_per_sec=1_000_000.0, txns_per_sec=20_000.0, ts="2026-08-
         "engine": {"txns": 1000, "wall_s": 0.05, "txns_per_sec": txns_per_sec},
         "figure_sweep": {"figures": ["fig13"], "jobs": 1, "wall_s": 1.0},
     }
+
+
+COMMITTED_STORE = Path(__file__).resolve().parents[1] / "benchmarks" / "store"
+
+# The command that recorded each committed load run.  Re-running it must
+# reproduce the stored fingerprint, or `load --check` gates against a
+# run that no longer describes the code.
+COMMITTED_LOAD_ARGV = {
+    "load-2026-08-08-001": (
+        "load --clients 100000 --arrival burst --replicas 2 --ack quorum --events 120"
+    ),
+    "load-2026-08-08-002": (
+        "load --clients 200 --events 240 --shards 2 --chaos coordinator-crash"
+    ),
+    "load-2026-08-08-003": (
+        "load --clients 200 --events 240 --shards 2 --chaos coordinator-crash "
+        "--timeout-ms 5 --retry 2 --shed 64"
+    ),
+}
 
 
 def synthetic_load_record(p999=1000.0, ts="2026-08-01T00:00:00", seed=42):
@@ -331,6 +352,22 @@ class TestLoadCheckGate:
         _, ok = check_load_regression(fresh, [baseline])
         assert ok  # different seed = different experiment, nothing to gate
 
+    def test_base_rate_and_multipliers_pick_the_baseline(self):
+        # The stored spec holds neither --rate nor --multipliers, so the
+        # payload tells which experiment a run measured.
+        calibrated = load_run(synthetic_load_record())
+        record = synthetic_load_record(p999=9000.0, ts="2026-08-02T00:00:00")
+        fixed_rate = load_run({**record, "base_rate_tps": 2000.0})
+        assert find_load_baseline(fixed_rate, [calibrated]) is None
+        point = {**record["points"][0], "multiplier": 2.0}
+        other_sweep = load_run({**record, "points": [point]})
+        assert find_load_baseline(other_sweep, [calibrated]) is None
+        # A calibrated run matches however its probed capacity moved.
+        recalibrated = load_run(
+            {**record, "capacity_tps": 40_000.0, "base_rate_tps": 40_000.0}
+        )
+        assert find_load_baseline(recalibrated, [calibrated]) is calibrated
+
     def test_most_recent_matching_baseline_wins(self):
         old = load_run(synthetic_load_record(p999=100.0, ts="2026-08-01T00:00:00"))
         new = load_run(synthetic_load_record(p999=1000.0, ts="2026-08-03T00:00:00"))
@@ -491,6 +528,18 @@ class TestCli:
         assert "fingerprints identical" in out
         assert "gate: p999 within" in out
 
+    def test_load_check_at_a_fixed_rate_has_no_calibrated_baseline(self, tmp_path, capsys):
+        # The committed coordinator-crash sweep ran at its probed
+        # capacity (16,129 tps); a --rate 2000 run of the same stored
+        # spec is another experiment and must not gate against it.
+        run_id = "load-2026-08-08-002"
+        shutil.copytree(COMMITTED_STORE / run_id, tmp_path / run_id)
+        argv = COMMITTED_LOAD_ARGV[run_id].split() + [
+            "--rate", "2000", "--check", "--no-save", "--store-dir", str(tmp_path),
+        ]
+        assert self._main(argv) == 2
+        assert "no matching baseline" in capsys.readouterr().err
+
     def test_load_check_fails_on_planted_p999_regression(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         args = ["load", "--clients", "200", "--events", "40", "--multipliers", "1",
@@ -515,3 +564,22 @@ class TestCli:
         assert "load check vs load-2999-01-01-001" in out
         assert "GATE FAILED" in out
         assert len(store.run_ids()) == 2  # --no-save recorded nothing
+
+
+class TestCommittedLoadRunsReproduce:
+    def test_every_committed_load_run_has_a_command(self):
+        committed = sorted(path.name for path in COMMITTED_STORE.glob("load-*"))
+        assert committed == sorted(COMMITTED_LOAD_ARGV)
+
+    @pytest.mark.parametrize("run_id", sorted(COMMITTED_LOAD_ARGV))
+    def test_rerun_matches_stored_fingerprint(self, run_id, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        argv = COMMITTED_LOAD_ARGV[run_id].split() + ["--store-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (fresh,) = RunStore(tmp_path).list_runs()
+        (committed,) = [
+            meta for meta in RunStore(COMMITTED_STORE).list_runs()
+            if meta["run_id"] == run_id
+        ]
+        assert fresh["fingerprint"] == committed["fingerprint"]
