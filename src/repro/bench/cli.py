@@ -75,7 +75,7 @@ def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
         "--sanitize",
         action="store_true",
         help=(
-            "arm the RNG-stream sanitizer (repro.lint.sanitizer): stdout is "
+            "arm the RNG-stream sanitizer (repro.util.sanitizer): stdout is "
             "bit-identical, violations go to stderr and fail the run"
         ),
     )
@@ -102,7 +102,7 @@ def _report_sanitizer(label: str, drained: dict[str, int] | None = None) -> int:
     *drained* is the run's merged ``rng_draws``: the counts its results
     carry rather than the sanitizer's global tally.
     """
-    from repro.lint import sanitizer
+    from repro.util import sanitizer
 
     print(f"[sanitize {label}: {sanitizer.summary(drained)}]", file=sys.stderr)
     if sanitizer.ok():
@@ -115,7 +115,7 @@ def _report_sanitizer(label: str, drained: dict[str, int] | None = None) -> int:
 def _chaos_main(argv: list[str]) -> int:
     from repro.engines.registry import ALL_SYSTEMS
     from repro.faults.chaos import ChaosSpec, default_workload_factories, run_chaos_suite
-    from repro.lint import sanitizer
+    from repro.util import sanitizer
     from repro.replication import ACK_MODES
     from repro.sharding import ShardedChaosSpec, run_sharded_chaos_suite
 
@@ -299,7 +299,7 @@ def _perf_main(argv: list[str]) -> int:
 
 
 def _load_main(argv: list[str]) -> int:
-    from repro.lint import sanitizer
+    from repro.util import sanitizer
     from repro.load import ARRIVAL_PROCESSES, MIXES, ArrivalSpec, LoadSpec, run_load
     from repro.load.arrivals import DEFAULT_STREAMS
     from repro.load.driver import DEFAULT_MULTIPLIERS
@@ -801,7 +801,7 @@ def _figures_main(argv: list[str]) -> int:
     from contextlib import nullcontext
 
     from repro import obs
-    from repro.lint import sanitizer
+    from repro.util import sanitizer
 
     ids, status = _known_ids(args.figures)
     panels: list = []

@@ -130,7 +130,7 @@ def run_cells(cells: Sequence[CellTask], jobs: int | None = None) -> list[RunRes
 
     if not all(_picklable(cell.workload) for cell in cells):
         jobs = 1
-    rep_results = ordered_map(_run_rep, tasks, jobs, label="run_cells")
+    rep_results = ordered_map(_run_rep, tasks, jobs)
     return [
         aggregate_repetitions(cell.spec, rep_results[start:stop])
         for cell, (start, stop) in zip(cells, rep_slices)

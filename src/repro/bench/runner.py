@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import obs
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.util.rng import root_rng
 from repro.core.counters import PerfCounters
 from repro.core.cpu import DEFAULT_OVERLAP, OverlapModel
@@ -320,9 +320,6 @@ def aggregate_repetitions(spec: RunSpec, rep_results: list[RunResult]) -> RunRes
     obs_buffers: list = []
     metric_snaps: list[dict] = []
     rng_draws: dict = {}
-    # The fold below is seed-order-dependent; an unordered container
-    # reaching it would be a determinism bug the sanitizer flags.
-    rep_results = sanitizer.checked_merge(rep_results, "aggregate_repetitions")
     for rep_result in rep_results:
         total.add(rep_result.counters)
         measured_txns += rep_result.measured_txns

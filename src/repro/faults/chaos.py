@@ -80,7 +80,7 @@ from repro.faults.injector import (
     WAL_GROUP_COMMIT,
 )
 from repro.faults.invariants import tpcc_invariants
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.replication import ReplicationGroup, ReplicationSpec, SingleNode
 from repro.replication.group import check_ack
 from repro.storage.recovery import replay, take_checkpoint, verify_against_engine
@@ -563,14 +563,13 @@ def run_chaos_suite(
     ]
     return run_suite(
         _run_suite_task, tasks, jobs=jobs, collect=collect,
-        label="run_chaos_suite", clean="all chaos runs clean",
-        failure="CHAOS FAILURES",
+        clean="all chaos runs clean", failure="CHAOS FAILURES",
     )
 
 
 def run_suite(
     run_task, tasks: list, *, jobs: int | None, collect: list | None,
-    label: str, clean: str, failure: str,
+    clean: str, failure: str,
 ) -> tuple[str, bool]:
     """Fan suite cells out; returns (reports + verdict line, all passed).
 
@@ -579,7 +578,7 @@ def run_suite(
     text is bit-identical to the serial run.  When *collect* is a list,
     one dict per cell is appended to it (the ``repro.store`` hook).
     """
-    outcomes = ordered_map(run_task, tasks, jobs, label=label)
+    outcomes = ordered_map(run_task, tasks, jobs)
     if collect is not None:
         for (spec, workload_name), (text, ok, failed) in zip(tasks, outcomes):
             collect.append(dict(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.engines.base import AbortReason, TransactionAborted
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.util.rng import child_rng
 
 # -- injection points --------------------------------------------------------

@@ -12,18 +12,14 @@ like.  This module builds that view once and shares it:
   driver.py`` -> ``repro.load.driver``); loose files (fixtures) fall
   back to their stem.
 * :class:`ModuleInfo` / :class:`FunctionInfo` / :class:`CallSite` —
-  per-module parse results: import aliases, module-level string
-  constants (so ``scope(PREPARE_STALL)`` resolves to its literal),
-  classes with their base names, and per-function call sites resolved
+  per-module parse results: import aliases, classes with their base
+  names, and per-function call sites resolved
   to project-qualified names where possible (``self.method`` through
   the class and its project-local bases, local functions, imported
   module functions).  Unresolved calls keep their dotted form so the
   passes can still pattern-match them by name (``child_rng``).
 * :class:`Project` — the call graph: modules in sorted-name order,
-  functions in definition order, a global qualname index, and
-  :meth:`Project.to_dict`, a fully sorted JSON-able dump used by the
-  determinism tests (two processes with different ``PYTHONHASHSEED``
-  must produce byte-identical dumps).
+  functions in definition order, and a global qualname index.
 
 Construction is **cached** per file content: a module whose source
 hash is unchanged is not re-parsed within the process (the engine,
@@ -56,14 +52,6 @@ class CallSite:
     raw: str | None        # dotted name as written, import aliases applied
     target: str | None     # project-qualified callee ("repro.x.f"), if resolved
 
-    def to_dict(self) -> dict:
-        return {
-            "line": self.node.lineno,
-            "col": self.node.col_offset,
-            "raw": self.raw,
-            "target": self.target,
-        }
-
 
 @dataclass
 class FunctionInfo:
@@ -80,18 +68,10 @@ class FunctionInfo:
     def line(self) -> int:
         return self.node.lineno
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-        }
-
 
 @dataclass
 class ModuleInfo:
-    """One parsed module: trees, aliases, constants, classes, functions."""
+    """One parsed module: trees, aliases, classes, functions."""
 
     name: str
     path: Path
@@ -100,9 +80,6 @@ class ModuleInfo:
     tree: ast.Module
     aliases: dict[str, str]
     is_sim: bool
-    # Module-level `NAME = "literal"` assignments, for resolving
-    # constant references (fault kinds, scope labels) to their values.
-    constants: dict[str, str] = field(default_factory=dict)
     # class name -> base-class dotted names (aliases applied).
     classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
@@ -121,20 +98,7 @@ class ModuleInfo:
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1) or 1
         col = getattr(node, "col_offset", 0) or 0
-        snippet = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        return Finding(self.display_path, line, col, rule, message, snippet)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.display_path,
-            "is_sim": self.is_sim,
-            "constants": dict(sorted(self.constants.items())),
-            "classes": {k: list(v) for k, v in sorted(self.classes.items())},
-            "functions": [
-                self.functions[q].to_dict() for q in self.function_order()
-            ],
-        }
+        return Finding(self.display_path, line, col, rule, message)
 
     def function_order(self) -> list[str]:
         """Qualnames in definition (line) order — the iteration order."""
@@ -158,20 +122,6 @@ def _function_params(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str,
     return tuple(names)
 
 
-def _collect_constants(tree: ast.Module) -> dict[str, str]:
-    constants: dict[str, str] = {}
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.value, ast.Constant)
-            and isinstance(stmt.value.value, str)
-        ):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    constants[target.id] = stmt.value.value
-    return constants
-
-
 def _parse_module(path: Path, display: str, config: LintConfig) -> ModuleInfo | None:
     try:
         source = path.read_text()
@@ -186,7 +136,6 @@ def _parse_module(path: Path, display: str, config: LintConfig) -> ModuleInfo | 
         tree=tree,
         aliases=_collect_aliases(tree),
         is_sim=config.is_sim_path(path),
-        constants=_collect_constants(tree),
     )
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -211,8 +160,7 @@ def _parse_module(path: Path, display: str, config: LintConfig) -> ModuleInfo | 
 class Project:
     """The call graph every project pass runs over."""
 
-    def __init__(self, modules: list[ModuleInfo], config: LintConfig) -> None:
-        self.config = config
+    def __init__(self, modules: list[ModuleInfo]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         for module in sorted(modules, key=lambda m: m.name):
             # Last-one-wins on duplicate stems (loose fixture files);
@@ -293,26 +241,6 @@ class Project:
     def module_of(self, qualname: str) -> ModuleInfo:
         return self.modules[self.functions[qualname].module]
 
-    def constant_value(self, module: ModuleInfo, name: str) -> str | None:
-        """Value of a string constant, following import/re-export hops
-        (``from repro.faults import PREPARE_STALL`` through the package
-        ``__init__`` to the defining module)."""
-        dotted = module.aliases.get(name, name)
-        if "." not in dotted:
-            return module.constants.get(name)
-        for _hop in range(3):
-            head, _, tail = dotted.rpartition(".")
-            target = self.modules.get(head)
-            if target is None:
-                break
-            if tail in target.constants:
-                return target.constants[tail]
-            hop = target.aliases.get(tail)
-            if hop is None or hop == dotted:
-                break
-            dotted = hop
-        return module.constants.get(name)
-
     def sim_functions(self) -> Iterator[FunctionInfo]:
         for module in self.modules.values():
             if not module.is_sim:
@@ -320,19 +248,11 @@ class Project:
             for qual in module.function_order():
                 yield module.functions[qual]
 
-    def to_dict(self) -> dict:
-        """Sorted, JSON-able dump — the determinism-test surface."""
-        return {
-            "modules": [m.to_dict() for m in self.modules.values()],
-            "n_functions": len(self.functions),
-        }
-
 
 class ProjectPass:
     """Base class for whole-program passes (units, streams)."""
 
     name: str = ""
-    summary: str = ""
 
     def check(self, project: Project) -> Iterator[Finding]:
         raise NotImplementedError
@@ -376,4 +296,4 @@ def build_project(paths: Iterable, config: LintConfig | None = None) -> Project:
                 _MODULE_CACHE.clear()
             _MODULE_CACHE[key] = module
         modules.append(module)
-    return Project(modules, config)
+    return Project(modules)

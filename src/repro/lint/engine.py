@@ -1,37 +1,26 @@
 """The rule engine behind ``repro-lint``.
 
 One file, one parse, every rule: the engine reads a Python source
-file, builds an :class:`ast` tree plus an import-alias map, classifies
-the file as *sim path* or not, and hands a :class:`FileContext` to
-each registered :class:`Rule`.  Rules yield :class:`Finding`\\ s;
-the engine filters pragma-suppressed lines and returns the rest in
-``(line, col, rule)`` order — the whole pipeline is deterministic, as
-befits a determinism linter.
+file, builds an :class:`ast` tree plus an import-alias map, and hands
+a :class:`FileContext` to each registered :class:`Rule`.  Rules yield
+:class:`Finding`\\ s; the engine filters pragma-suppressed lines and
+returns the rest in ``(line, col, rule)`` order — the whole pipeline
+is deterministic, as befits a determinism linter.
 
-Sim-path classification: a file is simulation code unless it looks
-like a test (``test_*.py``, ``conftest.py``, anything under a
-``tests``/``benchmarks`` directory).  Rules with ``sim_only = True``
-(wall-clock, rng-factory, float-eq, pool-seed) only run on sim paths —
-a test constructing its own ``random.Random(0)`` is deterministic and
-fine; library code must use the seeded factories.
+Rules run on sim paths only.  A file is simulation code unless it
+looks like a test (``test_*.py``, ``conftest.py``, anything under a
+``tests``/``benchmarks`` directory): a test constructing its own
+``random.Random(0)`` is deterministic and fine; library code must use
+the seeded factories.
 
-Suppression, narrowest first:
-
-* inline pragma ``# repro-lint: disable=rule-a,rule-b`` (or a bare
-  ``disable``) on the flagged line;
-* file pragma ``# repro-lint: skip-file`` in the first ten lines;
-* the checked-in fingerprint baseline (:mod:`repro.lint.baseline`)
-  for grandfathered findings.
-
-Fingerprints hash the last two path components, the rule name, and
-the stripped source line — stable across line-number drift and
-checkout location, so a baseline survives unrelated edits.
+Suppression: an inline pragma ``# repro-lint: disable=rule-a,rule-b``
+(or a bare ``disable``) on the flagged line, or a file pragma
+``# repro-lint: skip-file`` in the first ten lines.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -49,13 +38,6 @@ class Finding:
     col: int
     rule: str
     message: str
-    snippet: str = ""
-
-    def fingerprint(self) -> str:
-        """Baseline key: stable across line drift and checkout roots."""
-        tail = "/".join(Path(self.path).parts[-2:])
-        raw = f"{tail}|{self.rule}|{self.snippet}".encode()
-        return hashlib.sha1(raw).hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -65,16 +47,6 @@ class Finding:
 class LintConfig:
     """Engine configuration (all tuples so the config is hashable)."""
 
-    # Run only these rule names (None = every registered rule).
-    select: tuple[str, ...] | None = None
-    # Modules where reading the host clock is legal.
-    wall_clock_allowlist: tuple[str, ...] = ("repro/util/clock.py",)
-    # Modules allowed to construct random.Random (the factory itself
-    # and the sanitizer's subclass machinery).
-    rng_factory_allowlist: tuple[str, ...] = (
-        "repro/util/rng.py",
-        "repro/lint/sanitizer.py",
-    )
     # Directory names never descended into (the lint fixture corpus is
     # intentionally dirty).
     exclude_parts: tuple[str, ...] = (
@@ -94,10 +66,6 @@ class LintConfig:
             return False
         return not (set(path.parts) & {"tests", "benchmarks"})
 
-    def allows(self, allowlist: tuple[str, ...], path: Path) -> bool:
-        posix = path.as_posix()
-        return any(posix.endswith(entry) for entry in allowlist)
-
 
 @dataclass
 class FileContext:
@@ -107,8 +75,6 @@ class FileContext:
     display_path: str
     lines: list[str]
     tree: ast.AST
-    config: LintConfig
-    is_sim: bool
     aliases: dict[str, str]
 
     def resolve(self, node: ast.AST) -> str | None:
@@ -127,16 +93,13 @@ class FileContext:
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1) or 1
         col = getattr(node, "col_offset", 0) or 0
-        snippet = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        return Finding(self.display_path, line, col, rule, message, snippet)
+        return Finding(self.display_path, line, col, rule, message)
 
 
 class Rule:
-    """Base class: subclasses set the metadata and implement check()."""
+    """Base class: subclasses set ``name`` and implement check()."""
 
     name: str = ""
-    summary: str = ""
-    sim_only: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -201,17 +164,7 @@ class LintEngine:
         from repro.lint.rules import default_rules
 
         self.config = config or LintConfig()
-        rules = list(rules) if rules is not None else default_rules()
-        if self.config.select is not None:
-            known = {rule.name for rule in rules}
-            unknown = set(self.config.select) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown rule(s) {', '.join(sorted(unknown))}; "
-                    f"known: {', '.join(sorted(known))}"
-                )
-            rules = [rule for rule in rules if rule.name in self.config.select]
-        self.rules = rules
+        self.rules = list(rules) if rules is not None else default_rules()
 
     def lint_source(self, source: str, path, display_path: str | None = None) -> list[Finding]:
         path = Path(path)
@@ -224,21 +177,19 @@ class LintEngine:
                         f"syntax error: {exc.msg}")
             ]
         lines = source.splitlines()
-        if any(FILE_PRAGMA in line for line in lines[:10]):
+        if not self.config.is_sim_path(path) or any(
+            FILE_PRAGMA in line for line in lines[:10]
+        ):
             return []
         ctx = FileContext(
             path=path,
             display_path=display,
             lines=lines,
             tree=tree,
-            config=self.config,
-            is_sim=self.config.is_sim_path(path),
             aliases=_collect_aliases(tree),
         )
         findings: list[Finding] = []
         for rule in self.rules:
-            if rule.sim_only and not ctx.is_sim:
-                continue
             findings.extend(rule.check(ctx))
         findings = [f for f in findings if not _line_suppressed(f, lines)]
         findings.sort(key=lambda f: (f.line, f.col, f.rule))

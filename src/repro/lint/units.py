@@ -458,7 +458,6 @@ class _FunctionUnits:
 
 class UnitsPass(ProjectPass):
     name = "units"
-    summary = "cross-unit time arithmetic without explicit conversion"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules.values():

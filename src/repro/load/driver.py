@@ -52,7 +52,7 @@ from repro.faults.injector import (
     TPC_PREPARE,
     TXN_BODY,
 )
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.load.arrivals import (
     NS_PER_S,
     ArrivalSpec,
@@ -535,7 +535,7 @@ def run_load(spec: LoadSpec, jobs: int | None = None) -> LoadResult:
     base_rate = spec.rate if spec.rate is not None else max(capacity, 1.0)
     tasks = [(spec, m, base_rate * m) for m in spec.multipliers]
     # Fold in submission (= multiplier) order.
-    points = ordered_map(_run_point_task, tasks, jobs, label="load-sweep")
+    points = ordered_map(_run_point_task, tasks, jobs)
     rng_draws: dict = dict(probe_draws)
     for point in points:
         sanitizer.merge_draws(rng_draws, point.rng_draws)

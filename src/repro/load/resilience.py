@@ -73,7 +73,7 @@ from repro.faults.injector import (
     PREPARE_STALL,
     SLOW_SHARD,
 )
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.load.arrivals import NS_PER_S, LoadEvent
 from repro.load.scenarios import INSERT
 from repro.obs import nearest_rank

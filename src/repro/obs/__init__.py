@@ -3,7 +3,7 @@
 The package facade re-exports the span-tracing API and the gated metric
 helpers.  Everything here is stdlib-only and imports nothing from the
 rest of ``repro`` except the equally import-cycle-free leaf helpers
-(``repro.util.clock``, ``repro.lint.sanitizer``) — instrumented modules
+(``repro.util.clock``, ``repro.util.timeunits``) — instrumented modules
 (``core.machine``, ``engines.base``, ``storage.wal`` ...) can safely do
 ``from repro import obs`` even while the ``repro`` package itself is
 still initialising.

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.engines.base import COMMITTED
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.replication.network import SimNetwork
 from repro.storage.recovery import RecoveredState, restart
 from repro.storage.wal import LogImage, LogRecord

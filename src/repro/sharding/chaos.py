@@ -277,7 +277,6 @@ def run_sharded_chaos_suite(
         raise ValueError("a sharded chaos sweep needs at least one seed")
     return run_suite(
         _run_sharded_task, tasks, jobs=jobs, collect=collect,
-        label="run_sharded_chaos_suite",
         clean=(
             f"all {len(tasks)} sharded chaos runs clean ({spec.n_shards} "
             f"shards, {spec.remote_pct:g}% remote, ack={spec.ack})"

@@ -48,7 +48,7 @@ from repro.faults.injector import (
     TPC_PARTICIPANT,
     TPC_PREPARE,
 )
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.replication.group import (
     ASYNC,
     ReplicationGroup,

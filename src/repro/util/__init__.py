@@ -1,20 +1,22 @@
 """repro.util — small stdlib-only helpers shared across the package.
 
-Five modules, all deliberately tiny and import-cycle-free (the only
-other ``repro`` module they import is the stdlib-only
-:mod:`repro.lint.sanitizer`), so any layer — including ``repro.obs``,
-which must stay importable while the package is still initialising —
-can use them:
+Its modules are all deliberately tiny and import-cycle-free (they import
+nothing from ``repro`` outside this package), so any layer — including
+``repro.obs``, which must stay importable while the package is still
+initialising — can use them:
 
 * :mod:`repro.util.clock` — the **only** module where reading the host
-  clock is legal.  ``repro-lint``'s wall-clock rule allowlists it;
-  everything else must route display timing through
+  clock is legal.  Everything else routes display timing through
   :func:`~repro.util.clock.wall_timer` and self-measurement through
-  :func:`~repro.util.clock.perf_timer`.
+  :func:`~repro.util.clock.perf_timer`; a clock read that reaches a
+  result fails the parity harness (``tests/test_parity.py``).
 * :mod:`repro.util.rng` — the seeded-RNG factory idiom
   (:func:`~repro.util.rng.child_rng`, :func:`~repro.util.rng.root_rng`).
   ``repro-lint``'s rng-factory rule bans ``random.Random(...)``
   construction anywhere else in sim code.
+* :mod:`repro.util.sanitizer` — the runtime RNG-stream sanitizer
+  behind ``--sanitize``: provenance-tagged streams, cross-stream draw
+  detection, serial vs parallel draw counts.
 * :mod:`repro.util.stablehash` — :func:`~repro.util.stablehash.stable_hash`,
   the process-stable ``hash()`` replacement for placement decisions
   keyed by strings (builtin str hashing is randomized per process).

@@ -1,9 +1,9 @@
 """The one legal door to the host clock.
 
-Simulation results must be a pure function of the seed: wall-clock
-reads anywhere in a sim path are a determinism bug, and
-``repro-lint``'s *wall-clock* rule flags every ``time.*`` /
-``datetime.now`` reference outside this module.  Code with a
+Simulation results must be a pure function of the seed: a wall-clock
+read that reaches a result is a determinism bug, and the parity
+harness (``tests/test_parity.py``) fails on it, because the same
+command run three times prints three different values.  Code with a
 legitimate need — display timing on the CLI, the perf harness timing
 itself, the tracer's monotonic clock, timestamped run records — imports the
 helper that names its purpose:

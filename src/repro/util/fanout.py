@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from repro.lint import sanitizer
+from repro.util import sanitizer
 
 _JOBS = 1
 
@@ -53,22 +53,19 @@ def _run_seeded_task(fn: Callable, task):
     return result, sanitizer.drain_worker_state()
 
 
-def ordered_map(
-    fn: Callable, tasks: Sequence, jobs: int | None = None, *, label: str
-) -> list:
+def ordered_map(fn: Callable, tasks: Sequence, jobs: int | None = None) -> list:
     """``[fn(task) for task in tasks]``, over a process pool when the
     width (``None`` = ambient) is above 1 and there are two or more
     tasks.  *fn* must be module-level and each task picklable and
-    self-seeded; *label* names the merge point for the sanitizer."""
+    self-seeded."""
     width = get_jobs() if jobs is None else max(1, jobs)
     if width <= 1 or len(tasks) < 2:
-        results = [fn(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(width, len(tasks))) as pool:
-            shipped = list(pool.map(partial(_run_seeded_task, fn), tasks, chunksize=1))
-        results = []
-        for result, worker_state in shipped:
-            if worker_state is not None:
-                sanitizer.merge_worker_state(worker_state)
-            results.append(result)
-    return sanitizer.checked_merge(results, label)
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(width, len(tasks))) as pool:
+        shipped = list(pool.map(partial(_run_seeded_task, fn), tasks, chunksize=1))
+    results = []
+    for result, worker_state in shipped:
+        if worker_state is not None:
+            sanitizer.merge_worker_state(worker_state)
+        results.append(result)
+    return results

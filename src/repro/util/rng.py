@@ -25,7 +25,7 @@ fingerprints) is unchanged.
 
 When the runtime sanitizer is armed (``repro-bench --sanitize`` or
 ``REPRO_SANITIZE=1``), the factories return a
-:class:`repro.lint.sanitizer.TrackedRandom` — a ``random.Random``
+:class:`repro.util.sanitizer.TrackedRandom` — a ``random.Random``
 subclass with the identical seeded state that additionally records
 per-stream draw counts and flags cross-stream draws.  Sanitized runs
 are bit-identical to plain runs.
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 
-from repro.lint import sanitizer
+from repro.util import sanitizer
 
 
 def _make(seed_value, purpose: str) -> random.Random:

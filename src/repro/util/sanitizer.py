@@ -1,10 +1,8 @@
 """Runtime determinism sanitizer: provenance-tagged RNG streams.
 
-The static rules in :mod:`repro.lint` catch nondeterminism you can see
-in the source; this module catches the kind you can only see at run
-time — a stream drawn from the wrong place, a serial/parallel run
-whose streams consumed different draw counts, a ``set`` reaching a
-merge point.  It is the dynamic half of the determinism contract:
+This module catches the nondeterminism you can only see at run time: a
+stream drawn from the wrong place, or a serial/parallel run whose
+streams consumed different draw counts.  It backs ``--sanitize``:
 
 * :class:`TrackedRandom` — a ``random.Random`` subclass the seeded
   factories (:mod:`repro.util.rng`) hand out when the sanitizer is
@@ -25,9 +23,6 @@ merge point.  It is the dynamic half of the determinism contract:
   (**draw-count divergence**).  Draws a pool task leaves undrained,
   and its violations, ship back through :func:`drain_worker_state` /
   :func:`merge_worker_state` (:mod:`repro.util.fanout` calls them).
-* :func:`checked_merge` — guards merge points: handing an unordered
-  ``set``/``frozenset`` to a seed-order fold is recorded as an
-  **unordered-merge hazard**.
 
 Arming: ``repro-bench ... --sanitize`` enters :func:`sanitizing`,
 which also exports ``REPRO_SANITIZE=1`` so pool worker processes arm
@@ -238,26 +233,6 @@ def compare_draws(a: dict[str, int], b: dict[str, int]) -> list[str]:
         if left != right:
             problems.append(f"draw-count divergence on {key!r}: {left} != {right}")
     return problems
-
-
-# -- merge-point ordering guard ----------------------------------------------
-
-
-def checked_merge(items, label: str):
-    """Pass-through guard for seed-order merge points.
-
-    Records an unordered-merge hazard when *items* is a ``set`` or
-    ``frozenset`` — iteration order would leak into the folded result.
-    Returns *items* unchanged either way.
-    """
-    if _armed and isinstance(items, (set, frozenset)):
-        _record(
-            ("unordered-merge", label),
-            f"unordered merge: {label} received a {type(items).__name__} "
-            f"(iteration order is not deterministic) — use a list/tuple in "
-            f"seed order",
-        )
-    return items
 
 
 def summary(drained: dict[str, int] | None = None) -> str:

@@ -1,12 +1,10 @@
-"""Bad: undisciplined child_rng purposes and sanitizer scopes.
+"""Bad: undisciplined child_rng purposes.
 
 An unregistered purpose, a registered purpose constructed at more
 sites than the registry allows (aliasing two streams onto one
-sequence), a non-literal purpose outside the dynamic allowlist, and a
-draw inside a scope naming a different stream.
+sequence), and a non-literal purpose outside the dynamic allowlist.
 """
 
-from repro.lint import sanitizer
 from repro.util.rng import child_rng
 
 
@@ -21,14 +19,3 @@ def opaque(seed, purpose):
     # Purpose is a plain parameter and this function is not in
     # DYNAMIC_SITES.
     return child_rng(seed, purpose)
-
-
-def cross_draw(seed):
-    rng = child_rng(seed, "client")
-    with sanitizer.scope("workload"):
-        return rng.random()  # draw from "client" inside a "workload" scope
-
-
-def bad_label(seed):
-    with sanitizer.scope("no-such-label"):
-        return seed

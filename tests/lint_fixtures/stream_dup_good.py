@@ -1,6 +1,6 @@
-"""Good: registered purposes, prefixes, and matching scopes."""
+"""Good: registered purposes and prefixes."""
 
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.util.rng import child_rng
 
 
@@ -15,9 +15,3 @@ def scoped_draw(seed):
     rng = child_rng(seed, "stall")
     with sanitizer.scope("stall"):
         return rng.random()
-
-
-def labelled_region(seed):
-    # A scope-only label from SCOPE_LABELS, no draw inside.
-    with sanitizer.scope("fault-schedule"):
-        return seed

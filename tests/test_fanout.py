@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.util.fanout import ordered_map
 from repro.util.rng import child_rng
 
@@ -31,14 +31,14 @@ def _draw_outside_scope(seed: int) -> float:
 class TestOrderedMap:
     @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_results_in_submission_order(self, jobs):
-        assert ordered_map(_square, [3, 1, 2], jobs, label="squares") == [9, 1, 4]
+        assert ordered_map(_square, [3, 1, 2], jobs) == [9, 1, 4]
 
     def test_worker_violations_reach_the_parent(self):
         with sanitizer.sanitizing():
-            serial = ordered_map(_draw_outside_scope, [1, 2], 1, label="draws")
+            serial = ordered_map(_draw_outside_scope, [1, 2], 1)
             serial_state = (sanitizer.snapshot_draws(), sanitizer.violations())
             sanitizer.reset()
-            fanned = ordered_map(_draw_outside_scope, [1, 2], 2, label="draws")
+            fanned = ordered_map(_draw_outside_scope, [1, 2], 2)
             fanned_state = (sanitizer.snapshot_draws(), sanitizer.violations())
         assert fanned == serial
         assert fanned_state[1], "a worker's cross-stream draw never reached the parent"

@@ -12,10 +12,19 @@ and B's stderr ``[sanitize ...]`` line (streams, draws, violations) must
 equal C's.  A wall-clock read, OS entropy, an environment variable or a
 hash-order dependence that reaches a simulated result shows up here as
 a stdout difference, whatever path it took to get there.
+
+The ``RECORDED`` commands write a store run instead, each variant into
+its own ``--store-dir``.  On top of the checks above, the three runs'
+``meta.json`` fingerprints must be equal and their ``result.json``
+files byte-equal, so what a run records is held to the same contract
+as what it prints.  The ``store: <run id>`` line is left out of the
+stdout comparison: the run id carries the local date, and B runs in
+another time zone.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -55,6 +64,12 @@ PINNED = [
 ]
 
 
+RECORDED = [
+    "fig1 --quick --record",
+    "load --clients 2000 --events 80",
+]
+
+
 def _run(command: str, extra: list[str], cwd: Path, **env_overrides: str):
     env = dict(os.environ, PYTHONPATH=str(SRC), **env_overrides)
     return subprocess.run(
@@ -69,19 +84,56 @@ def _sanitize_line(stderr: str) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize("command", PINNED)
-def test_pinned_command_parity(command, tmp_path):
+def _run_variants(command: str, tmp_path: Path, extra=lambda name: []) -> dict:
+    """A, B and C as the module docstring describes; *extra* adds
+    per-variant arguments."""
     home = tmp_path / "home"
     home.mkdir()
     runs = {
-        "A": _run(command, ["--jobs", "1"], tmp_path, PYTHONHASHSEED="0"),
-        "B": _run(command, ["--sanitize"], tmp_path, PYTHONHASHSEED="7",
+        "A": _run(command, ["--jobs", "1", *extra("A")], tmp_path, PYTHONHASHSEED="0"),
+        "B": _run(command, ["--sanitize", *extra("B")], tmp_path, PYTHONHASHSEED="7",
                   HOME=str(home), TZ="Pacific/Chatham"),
-        "C": _run(command, ["--sanitize", "--jobs", "2"], tmp_path, PYTHONHASHSEED="0"),
+        "C": _run(command, ["--sanitize", "--jobs", "2", *extra("C")], tmp_path,
+                  PYTHONHASHSEED="0"),
     }
     for name, run in runs.items():
         assert run.returncode == 0, f"{name} exited {run.returncode}:\n{run.stderr}"
-    assert runs["A"].stdout, "the pinned command printed nothing"
-    assert runs["B"].stdout == runs["A"].stdout, "sanitized, hash seed 7 vs plain"
-    assert runs["C"].stdout == runs["A"].stdout, "sanitized --jobs 2 vs plain"
     assert _sanitize_line(runs["B"].stderr) == _sanitize_line(runs["C"].stderr)
+    return runs
+
+
+def _assert_same_stdout(stdouts: dict[str, str]) -> None:
+    assert stdouts["A"], "the pinned command printed nothing"
+    assert stdouts["B"] == stdouts["A"], "sanitized, hash seed 7 vs plain"
+    assert stdouts["C"] == stdouts["A"], "sanitized --jobs 2 vs plain"
+
+
+@pytest.mark.parametrize("command", PINNED)
+def test_pinned_command_parity(command, tmp_path):
+    runs = _run_variants(command, tmp_path)
+    _assert_same_stdout({name: run.stdout for name, run in runs.items()})
+
+
+@pytest.mark.parametrize("command", RECORDED)
+def test_recorded_command_parity(command, tmp_path):
+    stores = {name: tmp_path / f"store-{name}" for name in "ABC"}
+    runs = _run_variants(
+        command, tmp_path, lambda name: ["--store-dir", str(stores[name])]
+    )
+    _assert_same_stdout({
+        name: "".join(
+            line for line in run.stdout.splitlines(keepends=True)
+            if not line.startswith("store: ")
+        )
+        for name, run in runs.items()
+    })
+    recorded = {}
+    for name, store in stores.items():
+        (run_dir,) = [meta.parent for meta in store.glob("*/meta.json")]
+        recorded[name] = (
+            json.loads((run_dir / "meta.json").read_text())["fingerprint"],
+            (run_dir / "result.json").read_bytes(),
+        )
+    for name in "BC":
+        assert recorded[name][0] == recorded["A"][0], f"fingerprint, {name} vs A"
+        assert recorded[name][1] == recorded["A"][1], f"result.json, {name} vs A"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults import BROWNOUT, COORDINATOR_CRASH, CRASH, NET_PARTITION
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.load.arrivals import ArrivalSpec
 from repro.load.driver import LoadSpec, run_load
 from repro.load.report import render_load_report, render_saturation_curve

@@ -8,7 +8,7 @@ import pytest
 from repro.bench.runner import ExperimentRunner, RunSpec
 from repro.bench.parallel import workload_spec
 from repro.faults.chaos import ChaosRunner, ChaosSpec
-from repro.lint import sanitizer
+from repro.util import sanitizer
 from repro.util.rng import child_rng, root_rng
 from repro.workloads.microbench import MicroBenchmark
 
@@ -162,21 +162,6 @@ class TestDrawCounts:
         spec = RunSpec(system="hyper").quick()
         result = ExperimentRunner(spec, MICRO_1MB).run(jobs=1)
         assert result.rng_draws == {}
-
-
-class TestCheckedMerge:
-    def test_flags_sets_and_passes_through(self):
-        sanitizer.arm()
-        items = {3, 1, 2}
-        assert sanitizer.checked_merge(items, "fold") is items
-        assert not sanitizer.ok()
-        assert any("unordered merge" in v for v in sanitizer.violations())
-
-    def test_ordered_containers_pass_silently(self):
-        sanitizer.arm()
-        for items in ([1, 2], (1, 2), {"a": 1}):
-            assert sanitizer.checked_merge(items, "fold") is items
-        assert sanitizer.ok()
 
 
 class TestStableHash:
