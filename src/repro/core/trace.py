@@ -93,6 +93,14 @@ class AccessTrace:
         self.addrs.append(line_addr)
         self.mods.append(module)
 
+    def load_chain(self, lines: list[int], module: int) -> None:
+        """Load *lines* in order, each on the previous one's dependence
+        chain (an index probe's pointer chase): one serial load per line."""
+        n_lines = len(lines)
+        self.kinds.extend([DLOAD_SERIAL] * n_lines)
+        self.addrs.extend(lines)
+        self.mods.extend([module] * n_lines)
+
     def load_run(self, start_line: int, n_lines: int, module: int) -> None:
         """Load *n_lines* consecutive data lines (e.g. a scan or big-node search)."""
         self.kinds.extend([DLOAD] * n_lines)

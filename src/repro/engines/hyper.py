@@ -77,14 +77,16 @@ class HyPerTransaction(Transaction):
         eng._retire_comparisons(self.trace, table, self._compiled)
         if row_id is None:
             raise KeyError(f"update of missing key {key} in {table!r}")
-        self._shadow.append(("update", table, row_id, eng.table(table).heap.read(row_id)))
-        new_row = eng.table(table).heap.update_column(
-            row_id, column, value, self.trace, self._compiled
+        heap = eng.table(table).heap
+        old_row = heap.read(row_id)
+        self._shadow.append(("update", table, row_id, old_row))
+        new_row = heap.update_column(
+            row_id, column, value, self.trace, self._compiled, old_row=old_row
         )
         # Redo logging is compiled straight into the transaction code;
         # the after-image payload makes the log replayable.
         eng.redo_log.append(
-            self.txn_id, "update", eng.table(table).heap.row_bytes,
+            self.txn_id, "update", heap.row_bytes,
             self.trace, self._compiled,
             payload=(table, row_id, new_row),
         )

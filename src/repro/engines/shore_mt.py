@@ -113,8 +113,11 @@ class ShoreMTTransaction(Transaction):
         self._fix_row_page(table, row_id)
         eng._w(self.trace, "heap_code", 0.30)
         heap = eng.table(table).heap
-        self._undo.append(("update", table, row_id, heap.read(row_id)))
-        new_row = heap.update_column(row_id, column, value, self.trace, eng.mods["heap_code"])
+        old_row = heap.read(row_id)
+        self._undo.append(("update", table, row_id, old_row))
+        new_row = heap.update_column(
+            row_id, column, value, self.trace, eng.mods["heap_code"], old_row=old_row
+        )
         eng._w(self.trace, "log", 0.30)
         eng.wal.append(
             self.txn_id, "update", heap.row_bytes, self.trace, eng.mods["log"],

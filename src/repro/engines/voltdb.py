@@ -88,13 +88,14 @@ class VoltDBTransaction(Transaction):
             raise KeyError(f"update of missing key {key} in {table!r}")
         # Undo record before the in-place write (serial partition: no locks).
         eng._w(self.trace, "undo", 0.40)
-        self._undo_entries.append(("update", table, row_id,
-                                   eng.table(table).heap.read(row_id)))
-        eng.undo_log.append(self.txn_id, "undo", eng.table(table).heap.row_bytes,
+        heap = eng.table(table).heap
+        old_row = heap.read(row_id)
+        self._undo_entries.append(("update", table, row_id, old_row))
+        eng.undo_log.append(self.txn_id, "undo", heap.row_bytes,
                             self.trace, eng.mods["undo"])
         eng._w(self.trace, "table_code", 0.26)
-        new_row = eng.table(table).heap.update_column(
-            row_id, column, value, self.trace, eng.mods["table_code"]
+        new_row = heap.update_column(
+            row_id, column, value, self.trace, eng.mods["table_code"], old_row=old_row
         )
         # Command logging replays the invocation; for recovery we also
         # record the after-image (bookkeeping only: trace=None, zero

@@ -15,7 +15,7 @@ Two allocation styles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.codegen.layout import CODE_SEGMENT_LINES
 from repro.core.spec import CACHE_LINE_BYTES
@@ -28,10 +28,11 @@ class Region:
     name: str
     base_line: int
     n_lines: int
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_bytes(self) -> int:
-        return self.n_lines * CACHE_LINE_BYTES
+    def __post_init__(self) -> None:
+        # Taken once: line() checks every offset against it.
+        object.__setattr__(self, "size_bytes", self.n_lines * CACHE_LINE_BYTES)
 
     @property
     def end_line(self) -> int:

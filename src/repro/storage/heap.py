@@ -15,6 +15,7 @@ locality (Section 5.1.1).
 
 from __future__ import annotations
 
+from repro.core.spec import CACHE_LINE_BYTES
 from repro.core.trace import AccessTrace
 from repro.storage.address_space import DataAddressSpace, Region
 from repro.storage.record import Schema
@@ -45,6 +46,7 @@ class HeapTable:
             capacity_rows = max(n_rows + (1 << 20), n_rows * 2, 1 << 20)
         self.capacity_rows = capacity_rows
         self.region: Region = space.region(f"heap:{name}", capacity_rows * self.slot_bytes)
+        self._base_line = self.region.base_line
         self._materialized: dict[int, tuple] = {}
 
     # -- addressing ----------------------------------------------------------
@@ -67,6 +69,24 @@ class HeapTable:
         if not 0 <= row_id < self.n_rows:
             raise IndexError(f"row {row_id} out of range [0, {self.n_rows}) in {self.name!r}")
 
+    def _load_demand_lines(
+        self, row_id: int, trace: AccessTrace, mod: int, serial: bool
+    ) -> range:
+        """Emit loads of row *row_id*'s demand lines; returns the lines.
+
+        They are ``row_lines(row_id)[::2]``, computed from the slot
+        geometry directly.  The first line is on the dependence chain;
+        the adjacent-line prefetcher covers the immediate neighbour, so
+        only every second line of a wide row is a demand access.
+        """
+        offset = row_id * self.slot_bytes
+        first = self._base_line + offset // CACHE_LINE_BYTES
+        last = self._base_line + (offset + self.row_bytes - 1) // CACHE_LINE_BYTES
+        trace.load(first, mod, serial=serial)
+        for line in range(first + 2, last + 1, 2):
+            trace.load(line, mod)
+        return range(first, last + 1, 2)
+
     def read(
         self,
         row_id: int,
@@ -79,14 +99,7 @@ class HeapTable:
         came from a just-completed index probe)."""
         self._check(row_id)
         if trace is not None:
-            lines = self.row_lines(row_id)
-            # First line is on the dependence chain; the adjacent-line
-            # prefetcher covers the immediate neighbour, so only every
-            # second line of a wide row is a demand access.
-            first = True
-            for line in lines[::2]:
-                trace.load(line, mod, serial=serial and first)
-                first = False
+            self._load_demand_lines(row_id, trace, mod, serial)
         row = self._materialized.get(row_id)
         return row if row is not None else self.schema.default_row(row_id)
 
@@ -107,20 +120,30 @@ class HeapTable:
         value,
         trace: AccessTrace | None = None,
         mod: int = 0,
+        *,
+        old_row: tuple | None = None,
     ) -> tuple:
         """Read-modify-write one column; returns the new row.
 
         *value* may be a callable applied to the old value (the SQL
-        ``SET balance = balance + delta`` form).
+        ``SET balance = balance + delta`` form).  *old_row* is the row
+        as the caller just read it (an engine's undo or shadow image);
+        passing it saves a second lookup.  The read's line loads are
+        emitted either way.
         """
         col = self.schema.column_index(column)
-        row = list(self.read(row_id, trace, mod))
+        self._check(row_id)
+        if trace is not None:
+            lines = self._load_demand_lines(row_id, trace, mod, True)
+        if old_row is None:
+            old_row = self._materialized.get(row_id) or self.schema.default_row(row_id)
+        row = list(old_row)
         row[col] = value(row[col]) if callable(value) else value
         new_row = tuple(row)
         # Stores land on the lines the read just pulled in (same demand
         # stride: the prefetched neighbour absorbs the rest).
         if trace is not None:
-            for line in self.row_lines(row_id)[::2]:
+            for line in lines:
                 trace.store(line, mod)
         self._materialized[row_id] = new_row
         return new_row

@@ -75,13 +75,47 @@ class AnalyticIndexBase:
             return key / self.n_keys
         return _mix64(stable_hash(key)) / 2**64
 
-    # Subclasses provide: probe/insert/delete/emission.
+    # -- operations ------------------------------------------------------------------
+
+    # Whether a delete rewrites the entry in the probe's last line.
+    _DELETE_STORES = False
+
+    def probe_lines(self, key) -> list[int]:  # pragma: no cover - abstract
+        """Distinct cache lines a probe touches, in dependence order."""
+        raise NotImplementedError
+
+    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> list[int] | None:
+        """Emit a probe's dependent loads; returns its lines (None untraced)."""
+        if trace is None:
+            return None
+        lines = self.probe_lines(key)
+        trace.load_chain(lines, mod)
+        return lines
+
+    def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
+        self._emit_probe(key, trace, mod)
+        return self._resolve(key)
+
+    def insert(self, key, value, trace: AccessTrace | None = None, mod: int = 0) -> None:
+        lines = self._emit_probe(key, trace, mod)
+        self._overrides[key] = value
+        if lines is not None:
+            trace.store(lines[-1], mod)
+
+    def delete(self, key, trace: AccessTrace | None = None, mod: int = 0) -> bool:
+        lines = self._emit_probe(key, trace, mod)
+        present = self._resolve(key) is not None
+        self._overrides[key] = None  # None override = deleted
+        if self._DELETE_STORES and lines is not None and present:
+            trace.store(lines[-1], mod)
+        return present
 
 
 class AnalyticBTree(AnalyticIndexBase):
     """Probe-path model of :class:`~repro.storage.btree.BPlusTree`."""
 
     FILL_FACTOR = 0.67  # steady-state B-tree occupancy
+    _DELETE_STORES = True
 
     def __init__(
         self,
@@ -113,63 +147,56 @@ class AnalyticBTree(AnalyticIndexBase):
             space.region(f"abtree:{name}:L{i}", n * page_bytes)
             for i, n in enumerate(counts)
         ]
+        # (node count, first line) per level, root first.
+        self._levels = tuple(
+            (count, region.base_line) for count, region in zip(counts, self._level_regions)
+        )
+        # In-node search target -> lines past the node's first that the
+        # binary search touches.  At most entries_per_node entries.
+        self._search_offsets: dict[int, tuple[int, ...]] = {}
 
     # -- path computation --------------------------------------------------------
+
+    def _search_lines(self, target: int) -> tuple[int, ...]:
+        """Line offsets (from the node's first line) a binary search for
+        entry *target* adds, in visit order, deduplicated and capped."""
+        offsets = self._search_offsets.get(target)
+        if offsets is None:
+            seen = {0}
+            found = []
+            cap = self.search_line_cap
+            for idx in binary_search_probes(self.entries_per_node, target):
+                offset = (NODE_HEADER_BYTES + idx * self.entry_stride) // CACHE_LINE_BYTES
+                if offset not in seen:
+                    if cap is not None and len(seen) > cap:
+                        break
+                    seen.add(offset)
+                    found.append(offset)
+            offsets = self._search_offsets[target] = tuple(found)
+        return offsets
 
     def probe_lines(self, key) -> list[int]:
         """Distinct cache lines a probe touches, in dependence order."""
         frac = self._rank(key)
+        page_bytes = self.page_bytes
+        entries = self.entries_per_node
         lines: list[int] = []
-        for level, (count, region) in enumerate(
-            zip(self.level_node_counts, self._level_regions)
-        ):
-            node_idx = min(count - 1, int(frac * count))
-            base = region.line(node_idx * self.page_bytes)
+        for count, first_line in self._levels:
+            node_idx = int(frac * count)
+            if node_idx >= count:
+                node_idx = count - 1
+            base = first_line + node_idx * page_bytes // CACHE_LINE_BYTES
             lines.append(base)
             # Position within the node: the fractional remainder.
-            within = frac * count - node_idx
-            entries = self.entries_per_node
-            target = min(entries - 1, int(within * entries))
-            seen = {base}
-            cap = self.search_line_cap
-            for idx in binary_search_probes(entries, target):
-                line = base + (NODE_HEADER_BYTES + idx * self.entry_stride) // CACHE_LINE_BYTES
-                if line not in seen:
-                    if cap is not None and len(seen) > cap:
-                        break
-                    seen.add(line)
-                    lines.append(line)
+            target = int((frac * count - node_idx) * entries)
+            if target >= entries:
+                target = entries - 1
+            lines.extend([base + offset for offset in self._search_lines(target)])
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
 
     def hot_regions(self) -> list[tuple[int, int]]:
         """(base_line, n_lines) per level, root first (cache prewarm)."""
         return [(r.base_line, r.n_lines) for r in self._level_regions]
-
-    # -- operations ------------------------------------------------------------------
-
-    def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
-        self._emit_probe(key, trace, mod)
-        return self._resolve(key)
-
-    def insert(self, key, value, trace: AccessTrace | None = None, mod: int = 0) -> None:
-        self._emit_probe(key, trace, mod)
-        self._overrides[key] = value
-        if trace is not None:
-            trace.store(self.probe_lines(key)[-1], mod)
-
-    def delete(self, key, trace: AccessTrace | None = None, mod: int = 0) -> bool:
-        self._emit_probe(key, trace, mod)
-        present = self._resolve(key) is not None
-        self._overrides[key] = None  # None override = deleted
-        if trace is not None and present:
-            trace.store(self.probe_lines(key)[-1], mod)
-        return present
 
     def range_scan(
         self,
@@ -247,6 +274,15 @@ class AnalyticART(AnalyticIndexBase):
         ]
         self._leaf_region = space.region(f"aart:{name}:leaves", n_keys * self.LEAF_BYTES)
         self.height = self.inner_levels + 1
+        self._leaf_line = self._leaf_region.base_line
+        # (node count, node bytes, first line, key-byte shift, last slot
+        # offset) per inner level, root first.
+        self._levels = tuple(
+            (count, node_bytes, region.base_line, 8 * (self.inner_levels - 1 - level), node_bytes - 8)
+            for level, (count, node_bytes, region) in enumerate(
+                zip(counts, self.level_node_bytes, self._level_regions)
+            )
+        )
 
     @classmethod
     def _node_bytes_for(cls, fanout: int) -> int:
@@ -256,44 +292,25 @@ class AnalyticART(AnalyticIndexBase):
         return cls._NODE_SIZES[-1][1]
 
     def probe_lines(self, key) -> list[int]:
+        """Distinct cache lines a probe touches, in dependence order."""
         frac = self._rank(key)
-        key_scaled = int(frac * self.n_keys)
+        n_keys = self.n_keys
+        key_scaled = int(frac * n_keys)
         lines: list[int] = []
-        for level, (count, node_bytes, region) in enumerate(
-            zip(self.level_node_counts, self.level_node_bytes, self._level_regions)
-        ):
+        for count, node_bytes, first_line, shift, last_slot in self._levels:
             # Pointer-tagged descent: one load per node, at the child
             # slot for large nodes (header is in the same line for the
             # small kinds).
-            node_idx = min(count - 1, int(frac * count))
-            byte = (key_scaled >> (8 * (self.inner_levels - 1 - level))) & 0xFF
-            slot_off = min(16 + byte * 8, node_bytes - 8)
-            lines.append(region.line(node_idx * node_bytes + slot_off))
-        leaf_idx = min(self.n_keys - 1, key_scaled)
-        lines.append(self._leaf_region.line(leaf_idx * self.LEAF_BYTES))
+            node_idx = int(frac * count)
+            if node_idx >= count:
+                node_idx = count - 1
+            slot_off = 16 + ((key_scaled >> shift) & 0xFF) * 8
+            if slot_off > last_slot:
+                slot_off = last_slot
+            lines.append(first_line + (node_idx * node_bytes + slot_off) // CACHE_LINE_BYTES)
+        leaf_idx = key_scaled if key_scaled < n_keys else n_keys - 1
+        lines.append(self._leaf_line + leaf_idx * self.LEAF_BYTES // CACHE_LINE_BYTES)
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
-
-    def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
-        self._emit_probe(key, trace, mod)
-        return self._resolve(key)
-
-    def insert(self, key, value, trace: AccessTrace | None = None, mod: int = 0) -> None:
-        self._emit_probe(key, trace, mod)
-        self._overrides[key] = value
-        if trace is not None:
-            trace.store(self.probe_lines(key)[-1], mod)
-
-    def delete(self, key, trace: AccessTrace | None = None, mod: int = 0) -> bool:
-        self._emit_probe(key, trace, mod)
-        present = self._resolve(key) is not None
-        self._overrides[key] = None
-        return present
 
     def range_scan(self, key, n: int, trace: AccessTrace | None = None, mod: int = 0):
         """Ordered scan of *n* entries (leaves are rank-adjacent)."""
@@ -351,13 +368,14 @@ class AnalyticHash(AnalyticIndexBase):
             f"ahash:{name}:entries", max(n_keys, 1) * self.ENTRY_BYTES
         )
 
-    def _chain_position(self, key) -> int:
-        """How many chain entries precede *key*'s entry (0-based).
+    def _chain_position(self, key_hash: int) -> int:
+        """How many chain entries precede the entry of the key hashing to
+        *key_hash* (0-based).
 
         With load factor a, P(position >= 1) ~ a/2 under Poisson-
         distributed bucket occupancy; we threshold a per-key hash.
         """
-        h = _mix64(stable_hash(key) ^ 0xC0FFEE)
+        h = _mix64(key_hash ^ 0xC0FFEE)
         u = h / 2**64
         p_extra = self.load_factor / 2
         position = 0
@@ -366,36 +384,17 @@ class AnalyticHash(AnalyticIndexBase):
         return position
 
     def probe_lines(self, key) -> list[int]:
-        bucket = fibonacci_hash(stable_hash(key), self.n_buckets)
-        lines = [self._bucket_region.line(bucket * self.SLOT_BYTES)]
+        """Distinct cache lines a probe touches, in dependence order."""
+        h = stable_hash(key)
+        bucket = fibonacci_hash(h, self.n_buckets)
+        lines = [self._bucket_region.base_line + bucket * self.SLOT_BYTES // CACHE_LINE_BYTES]
         # Entry addresses are insertion-ordered, i.e. uncorrelated with
         # the bucket: place them pseudo-randomly in the entry region.
-        for i in range(self._chain_position(key) + 1):
-            entry_idx = _mix64(stable_hash(key) + i * 0x5851F42D) % max(1, self.n_keys)
-            lines.append(self._entry_region.line(entry_idx * self.ENTRY_BYTES))
+        entry_base = self._entry_region.base_line
+        for i in range(self._chain_position(h) + 1):
+            entry_idx = _mix64(h + i * 0x5851F42D) % self.n_keys
+            lines.append(entry_base + entry_idx * self.ENTRY_BYTES // CACHE_LINE_BYTES)
         return lines
-
-    def _emit_probe(self, key, trace: AccessTrace | None, mod: int) -> None:
-        if trace is None:
-            return
-        for line in self.probe_lines(key):
-            trace.load(line, mod, serial=True)
-
-    def probe(self, key, trace: AccessTrace | None = None, mod: int = 0):
-        self._emit_probe(key, trace, mod)
-        return self._resolve(key)
-
-    def insert(self, key, value, trace: AccessTrace | None = None, mod: int = 0) -> None:
-        self._emit_probe(key, trace, mod)
-        self._overrides[key] = value
-        if trace is not None:
-            trace.store(self.probe_lines(key)[-1], mod)
-
-    def delete(self, key, trace: AccessTrace | None = None, mod: int = 0) -> bool:
-        self._emit_probe(key, trace, mod)
-        present = self._resolve(key) is not None
-        self._overrides[key] = None
-        return present
 
     def range_scan(self, key, n: int, trace: AccessTrace | None = None, mod: int = 0):
         """Scan emulation: hash indexes cannot scan in key order, so the

@@ -11,6 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# default_value of a long column: (seed * _LONG_MULT) & _LONG_MASK.
+_LONG_MULT = 0x9E3779B97F4A7C15
+_LONG_MASK = 0x7FFFFFFFFFFFFFFF
+# Column i of row r defaults from seed r * _ROW_SEED_STRIDE + i.
+_ROW_SEED_STRIDE = 31
+_ROW_LONG_MULT = _ROW_SEED_STRIDE * _LONG_MULT
+
 
 @dataclass(frozen=True)
 class ColumnType:
@@ -26,7 +33,7 @@ class ColumnType:
     def default_value(self, seed: int):
         """Deterministic value for an unmaterialised row (see HeapTable)."""
         if self.name == "long":
-            return (seed * 0x9E3779B97F4A7C15) & 0x7FFFFFFFFFFFFFFF
+            return (seed * _LONG_MULT) & _LONG_MASK
         text = f"v{seed:x}"
         return (text * (self.byte_size // len(text) + 1))[: self.byte_size]
 
@@ -56,6 +63,19 @@ class Schema:
     columns: tuple[tuple[str, ColumnType], ...]
     header_bytes: int = 8
 
+    def __post_init__(self) -> None:
+        # Derived once; plain attributes, so equality and repr ignore them.
+        index: dict[str, int] = {}
+        for i, (col_name, _) in enumerate(self.columns):
+            index.setdefault(col_name, i)
+        object.__setattr__(self, "_index", index)
+        # Long column i of row r defaults to ((r*31 + i) * M) & MASK, which
+        # is (r*31*M + i*M) & MASK exactly (ints do not overflow): an
+        # all-long row needs only the i*M terms, computed here.
+        all_long = all(ct.name == "long" for _, ct in self.columns)
+        offsets = tuple(i * _LONG_MULT for i in range(len(self.columns)))
+        object.__setattr__(self, "_long_offsets", offsets if all_long else None)
+
     @property
     def payload_bytes(self) -> int:
         return sum(ct.byte_size for _, ct in self.columns)
@@ -69,15 +89,20 @@ class Schema:
         return len(self.columns)
 
     def column_index(self, name: str) -> int:
-        for i, (col_name, _) in enumerate(self.columns):
-            if col_name == name:
-                return i
-        raise KeyError(f"no column {name!r} in schema {self.name!r}")
+        index = self._index.get(name)
+        if index is None:
+            raise KeyError(f"no column {name!r} in schema {self.name!r}")
+        return index
 
     def default_row(self, row_id: int) -> tuple:
         """Deterministic contents of an unmaterialised row."""
+        offsets = self._long_offsets
+        if offsets is not None:
+            base = row_id * _ROW_LONG_MULT
+            return tuple([(base + offset) & _LONG_MASK for offset in offsets])
         return tuple(
-            ct.default_value(row_id * 31 + i) for i, (_, ct) in enumerate(self.columns)
+            ct.default_value(row_id * _ROW_SEED_STRIDE + i)
+            for i, (_, ct) in enumerate(self.columns)
         )
 
     def validate_row(self, values: tuple) -> None:

@@ -21,6 +21,7 @@ the last valid prefix (see :mod:`repro.storage.recovery`).
 
 from __future__ import annotations
 
+import enum
 import random
 import zlib
 from dataclasses import dataclass, field, replace
@@ -46,6 +47,40 @@ def record_checksum(lsn: int, txn_id: int, kind: str, payload_bytes: int, payloa
     return zlib.crc32(repr((lsn, txn_id, kind, payload_bytes, payload)).encode())
 
 
+class _Deferred(enum.Enum):
+    """A stored checksum still to be computed (an enum: pickles as itself)."""
+
+    CHECKSUM = "checksum"
+
+
+_DEFERRED = _Deferred.CHECKSUM
+
+
+class _ChecksumField:
+    """Descriptor for :attr:`LogRecord.checksum`.
+
+    Stores what it is given, except that a record the WAL appended gets
+    its CRC on first read: a record's content is immutable, so the value
+    is the same whenever it is computed, and most records leave the
+    in-memory tail without ever being verified or digested.
+    """
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the dataclass field default
+        value = record._checksum
+        if value is _DEFERRED:
+            value = record_checksum(
+                record.lsn, record.txn_id, record.kind, record.payload_bytes, record.payload
+            )
+            object.__setattr__(record, "_checksum", value)
+        return value
+
+    def __set__(self, record, value) -> None:
+        # object.__setattr__: the frozen dataclass refuses plain assignment.
+        object.__setattr__(record, "_checksum", value)
+
+
 @dataclass(frozen=True)
 class LogRecord:
     lsn: int
@@ -61,15 +96,17 @@ class LogRecord:
     # module rebuild committed state from the log alone.
     payload: tuple | None = None
     # CRC over the logical content; None marks hand-built records that
-    # skip checksumming (treated as intact).
-    checksum: int | None = None
+    # skip checksumming (treated as intact).  Records the WAL appends
+    # compute it on first read (see _ChecksumField).
+    checksum: int | None = _ChecksumField()  # type: ignore[assignment]
 
     @property
     def intact(self) -> bool:
         """True unless the stored checksum mismatches the content."""
-        if self.checksum is None:
-            return True
-        return self.checksum == record_checksum(
+        stored = self._checksum
+        if stored is None or stored is _DEFERRED:
+            return True  # unchecked, or still to be computed from this content
+        return stored == record_checksum(
             self.lsn, self.txn_id, self.kind, self.payload_bytes, self.payload
         )
 
@@ -158,8 +195,7 @@ class WriteAheadLog:
             trace.store_run(first, last - first + 1, mod)
         record = LogRecord(
             lsn=self.next_lsn, txn_id=txn_id, kind=kind,
-            payload_bytes=payload_bytes, payload=payload,
-            checksum=record_checksum(self.next_lsn, txn_id, kind, payload_bytes, payload),
+            payload_bytes=payload_bytes, payload=payload, checksum=_DEFERRED,
         )
         self.next_lsn += 1
         self._head += size

@@ -25,8 +25,14 @@ class TestRegions:
         r = space.region("r", 128)
         with pytest.raises(ValueError):
             r.line(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"offset 128 outside region 'r' \(128 bytes\)"):
             r.line(128)
+
+    def test_size_bytes_is_fixed_at_construction(self, space):
+        r = space.region("r", 100)
+        assert r.size_bytes == r.n_lines * CACHE_LINE_BYTES == 128
+        assert r == type(r)(name="r", base_line=r.base_line, n_lines=r.n_lines)
+        assert "size_bytes" not in repr(r)
 
     def test_lines_for_spans(self, space):
         r = space.region("r", 256)
