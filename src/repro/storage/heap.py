@@ -55,8 +55,18 @@ class HeapTable:
         return row_id * self.slot_bytes
 
     def row_lines(self, row_id: int) -> range:
-        """Cache lines covering row *row_id*'s slot."""
-        return self.region.lines_for(self.row_offset(row_id), self.row_bytes)
+        """Cache lines covering row *row_id*'s slot.
+
+        ``Region.lines_for`` without its bounds check, which cannot fail
+        here: callers check *row_id* against ``n_rows`` (at most
+        ``capacity_rows``), and the region holds ``capacity_rows`` slots.
+        """
+        offset = row_id * self.slot_bytes
+        base = self._base_line
+        return range(
+            base + offset // CACHE_LINE_BYTES,
+            base + (offset + self.row_bytes - 1) // CACHE_LINE_BYTES + 1,
+        )
 
     @property
     def data_bytes(self) -> int:
@@ -72,20 +82,19 @@ class HeapTable:
     def _load_demand_lines(
         self, row_id: int, trace: AccessTrace, mod: int, serial: bool
     ) -> range:
-        """Emit loads of row *row_id*'s demand lines; returns the lines.
+        """Emit loads of row *row_id*'s demand lines,
+        ``row_lines(row_id)[::2]``, and return them.
 
-        They are ``row_lines(row_id)[::2]``, computed from the slot
-        geometry directly.  The first line is on the dependence chain;
-        the adjacent-line prefetcher covers the immediate neighbour, so
-        only every second line of a wide row is a demand access.
+        The first line is on the dependence chain; the adjacent-line
+        prefetcher covers the immediate neighbour, so only every second
+        line of a wide row is a demand access.
         """
-        offset = row_id * self.slot_bytes
-        first = self._base_line + offset // CACHE_LINE_BYTES
-        last = self._base_line + (offset + self.row_bytes - 1) // CACHE_LINE_BYTES
+        span = self.row_lines(row_id)
+        first = span.start
         trace.load(first, mod, serial=serial)
-        for line in range(first + 2, last + 1, 2):
+        for line in range(first + 2, span.stop, 2):
             trace.load(line, mod)
-        return range(first, last + 1, 2)
+        return span[::2]
 
     def read(
         self,
@@ -136,7 +145,7 @@ class HeapTable:
         if trace is not None:
             lines = self._load_demand_lines(row_id, trace, mod, True)
         if old_row is None:
-            old_row = self._materialized.get(row_id) or self.schema.default_row(row_id)
+            old_row = self.read(row_id)
         row = list(old_row)
         row[col] = value(row[col]) if callable(value) else value
         new_row = tuple(row)

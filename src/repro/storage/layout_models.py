@@ -9,6 +9,11 @@ each model here computes the exact probe path a materialised structure
 of that size would take — per-level node counts, the node on the path,
 and the lines the in-node search visits.
 
+A byte offset maps to a line by :meth:`Region.line`'s rule,
+``base_line + offset // CACHE_LINE_BYTES``.  The probe paths apply it
+inline from per-level geometry tuples, without its bounds check: every
+node, slot and entry index is clamped to its level's size first.
+
 The models mirror the materialised structures' emission behaviour and
 are property-tested against them at small scale
 (``tests/test_layout_models.py``): same tree depth, same number of

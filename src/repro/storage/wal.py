@@ -61,8 +61,9 @@ class _ChecksumField:
 
     Stores what it is given, except that a record the WAL appended gets
     its CRC on first read: a record's content is immutable, so the value
-    is the same whenever it is computed, and most records leave the
-    in-memory tail without ever being verified or digested.
+    is the same whenever it is computed.  Only torn copies, replication
+    log digests and their tests read it; an open-loop load or figure
+    run reads none of the records it appends.
     """
 
     def __get__(self, record, owner=None):

@@ -364,8 +364,13 @@ class TestIndexOperationEvents:
 # -- heap demand lines ---------------------------------------------------------------
 
 
+def ref_row_lines(heap: HeapTable, row_id: int) -> range:
+    """A row's lines through the bounds-checked region path."""
+    return heap.region.lines_for(heap.row_offset(row_id), heap.row_bytes)
+
+
 def ref_read_events(heap: HeapTable, row_id: int, mod: int, serial: bool) -> list:
-    lines = heap.row_lines(row_id)[::2]
+    lines = ref_row_lines(heap, row_id)[::2]
     return [
         (DLOAD_SERIAL if serial and i == 0 else DLOAD, line, mod) for i, line in enumerate(lines)
     ]
@@ -377,6 +382,12 @@ HEAP_SCHEMAS = [microbench_schema(), microbench_schema(STRING50), MIXED] + [
 
 
 class TestHeapLines:
+    @pytest.mark.parametrize("schema", HEAP_SCHEMAS, ids=lambda s: s.name)
+    def test_row_lines_matches_region(self, schema):
+        heap = HeapTable("h", schema, 5000, DataAddressSpace())
+        for row_id in list(range(0, 40)) + [4999, heap.capacity_rows - 1]:
+            assert heap.row_lines(row_id) == ref_row_lines(heap, row_id)
+
     @pytest.mark.parametrize("schema", HEAP_SCHEMAS, ids=lambda s: s.name)
     def test_read_matches_row_lines(self, schema):
         heap = HeapTable("h", schema, 5000, DataAddressSpace())
@@ -396,7 +407,7 @@ class TestHeapLines:
                 new_row = heap.update_column(row_id, last, 42, trace, 2, old_row=old_row)
                 assert new_row[:-1] == heap.read(row_id)[:-1] and new_row[-1] == 42
                 expected = ref_read_events(heap, row_id, 2, True)
-                expected += [(DSTORE, line, 2) for line in heap.row_lines(row_id)[::2]]
+                expected += [(DSTORE, line, 2) for line in ref_row_lines(heap, row_id)[::2]]
                 assert list(trace.events()) == expected
 
     def test_update_column_checks_row_and_column_first(self):
