@@ -20,6 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.codegen.compiler import TransactionCompiler
 from repro.codegen.layout import CodeLayout
 from repro.codegen.module import CodeModule
 from repro.codegen.walker import CodeWalker
@@ -130,6 +131,9 @@ class Transaction(ABC):
         self.txn_id = txn_id
         self.procedure = procedure
         self.done = False
+        # Undo entries, oldest first: ("update", table, row_id, old_row),
+        # ("insert", table, key) or ("delete", table, key, row_id).
+        self.undo: list[tuple] = []
 
     # -- operations (implemented per engine) ---------------------------------
 
@@ -164,11 +168,80 @@ class Transaction(ABC):
             raise RuntimeError("transaction already finished")
         self.done = True
 
+    # -- shared plumbing ---------------------------------------------------------
+
+    def _probe(self, table: str, key: int, mod: int) -> int | None:
+        """Primary-index probe plus its wide-key comparison work."""
+        eng = self.engine
+        row_id = eng.tables[table].probe(key, self.trace, mod)
+        eng._retire_comparisons(self.trace, table, mod)
+        return row_id
+
+    def _before_image(self, table: str, row_id: int) -> tuple:
+        """Read *row_id*'s current row (untraced) and keep it for undo."""
+        old_row = self.engine.tables[table].heap.read(row_id)
+        self.undo.append(("update", table, row_id, old_row))
+        return old_row
+
+    def _roll_back(self, mod: int, clr_log=None, clr_mod: int = 0) -> None:
+        """Apply :attr:`undo` newest first, walking data as *mod*.  With
+        *clr_log* (ARIES), each step is followed by the compensation record
+        ``(update|uninsert|undelete, *entry[1:])`` that recovery's
+        ``_apply_clr`` parses."""
+        eng = self.engine
+        trace = self.trace
+        for entry in reversed(self.undo):
+            kind, table = entry[0], entry[1]
+            if kind == "update":
+                _, _, row_id, old_row = entry
+                eng.table(table).heap.write(row_id, old_row, trace, mod)
+                action = "update"
+            elif kind == "insert":
+                eng.table(table).delete_key(entry[2], trace, mod)
+                action = "uninsert"
+            else:  # deleted key: restore the index entry
+                _, _, key, row_id = entry
+                if row_id is None:
+                    continue
+                eng.table(table).insert_key(key, row_id, trace, mod)
+                action = "undelete"
+            if clr_log is not None:
+                clr_log.append(
+                    self.txn_id, "clr", 24, trace, clr_mod, payload=(action, *entry[1:])
+                )
+        self.undo.clear()
+
+    # Value-log records, the payloads repro.storage.recovery._redo
+    # replays.  *mod* None appends bookkeeping only (no trace events).
+    # Each helper appends directly: they run on every logged write.
+
+    def _log_update(self, log, nbytes: int, mod: int | None, table: str, row_id: int, row) -> None:
+        """After-image of an updated row."""
+        trace = self.trace if mod is not None else None
+        log.append(self.txn_id, "update", nbytes, trace, mod or 0, payload=(table, row_id, row))
+
+    def _log_insert(self, log, nbytes: int, mod: int | None, table: str, key, row_id: int, values):
+        """An inserted row and its index key (*key* None: the row id)."""
+        trace = self.trace if mod is not None else None
+        payload = (table, key if key is not None else row_id, row_id, tuple(values))
+        log.append(self.txn_id, "insert", nbytes, trace, mod or 0, payload=payload)
+
+    def _log_delete(self, log, nbytes: int, mod: int | None, table: str, key: int) -> None:
+        """A removed index key."""
+        trace = self.trace if mod is not None else None
+        log.append(self.txn_id, "delete", nbytes, trace, mod or 0, payload=(table, key))
+
 
 class Engine(ABC):
     """Base class for the five analysed systems."""
 
     system = "abstract"
+    # The Transaction subclass :meth:`begin` opens.
+    transaction_class: type[Transaction]
+    # Compiling engines (HyPer, DBMS M) set both: the compiler profile
+    # and the interpreted modules a compiled procedure subsumes.
+    compiler: TransactionCompiler | None = None
+    compile_templates: tuple[CodeModule, ...] = ()
     default_index_kind = "btree"
     is_partitioned = False
     # Name of the span covering Transaction construction in execute():
@@ -198,6 +271,7 @@ class Engine(ABC):
         self._cmp_instr_cache: dict[str, int] = {}
         self._trace = AccessTrace()
         self._next_txn_id = 1
+        self._compiled_mods: dict[str, int] = {}
         self._register_modules()
 
     # -- module registration ----------------------------------------------------
@@ -288,15 +362,28 @@ class Engine(ABC):
         return extra
 
     def _retire_comparisons(self, trace: AccessTrace, name: str, mod: int) -> None:
-        extra = self.comparison_instructions(name)
+        # Every probe lands here: read the memo before calling to fill it.
+        extra = self._cmp_instr_cache.get(name)
+        if extra is None:
+            extra = self.comparison_instructions(name)
         if extra:
             trace.retire(mod, extra, base_cycles=extra * 0.40)
 
     # -- execution ---------------------------------------------------------------------
 
-    @abstractmethod
     def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> Transaction:
         """Open a transaction (harness path uses :meth:`execute` instead)."""
+        if trace is None:
+            trace = AccessTrace()
+        return self.transaction_class(self, trace, self._new_txn_id(), procedure)
+
+    def compiled_module(self, procedure: str) -> int:
+        """The code module compiled for *procedure*, built on first use."""
+        mod = self._compiled_mods.get(procedure)
+        if mod is None:
+            mod = self.compiler.compile(self.layout, procedure, list(self.compile_templates))
+            self._compiled_mods[procedure] = mod
+        return mod
 
     def execute(self, procedure: str, body, core_id: int = 0) -> AccessTrace:
         """Run one transaction; returns its access trace.
@@ -425,8 +512,11 @@ class Engine(ABC):
         return []
 
     def _aux_cold_regions(self) -> list[tuple[int, int]]:
-        """Engine-private streaming structures (log buffers)."""
-        return []
+        """Streaming structures: the recovery log's buffer."""
+        log = self.recovery_log()
+        if log is None:
+            return []
+        return [(log._region.base_line, log._region.n_lines)]
 
     def describe(self) -> str:
         parts = [f"{self.system}:"]

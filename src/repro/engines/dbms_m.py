@@ -115,8 +115,7 @@ class DBMSMTransaction(Transaction):
         if (table, key) in self.write_set:
             return self.write_set[(table, key)]
         mod = self._data_mod()
-        row_id = eng.table(table).probe(key, self.trace, mod)
-        eng._retire_comparisons(self.trace, table, mod)
+        row_id = self._probe(table, key, mod)
         if row_id is None:
             return None
         # Version-chain visibility check, then the base row.
@@ -185,9 +184,7 @@ class DBMSMTransaction(Transaction):
         eng.stats.operations += 1
         self._per_statement_outer()
         self._engine_op_walk("delete")
-        mod = self._data_mod()
-        row_id = eng.table(table).probe(key, self.trace, mod)
-        eng._retire_comparisons(self.trace, table, mod)
+        row_id = self._probe(table, key, self._data_mod())
         present = row_id is not None and (table, key) not in self._deletes
         if present:
             self.read_set[(table, key)] = eng.versions.latest_committed_ts((table, key))
@@ -218,25 +215,18 @@ class DBMSMTransaction(Transaction):
                     (table, key), new_row, commit_ts, self.trace, eng.mods["mvcc_code"]
                 )
                 row_id = eng.table(table).probe(key, None, 0)
-                eng.wal.append(
-                    self.txn_id, "update", eng.table(table).heap.row_bytes,
-                    self.trace, eng.mods["log"],
-                    payload=(table, row_id, new_row),
+                self._log_update(
+                    eng.wal, eng.table(table).heap.row_bytes, eng.mods["log"],
+                    table, row_id, new_row,
                 )
                 eng._row_images[(table, row_id)] = tuple(new_row)
             mod = self._data_mod()
             for table, values, key in self._inserts:
                 row_id = eng.table(table).insert_row(values, key, self.trace, mod)
-                eng.wal.append(
-                    self.txn_id, "insert", 24, self.trace, eng.mods["log"],
-                    payload=(table, key if key is not None else row_id, row_id, tuple(values)),
-                )
+                self._log_insert(eng.wal, 24, eng.mods["log"], table, key, row_id, values)
             for table, key in self._deletes:
                 eng.table(table).delete_key(key, self.trace, mod)
-                eng.wal.append(
-                    self.txn_id, "delete", 24, self.trace, eng.mods["log"],
-                    payload=(table, key),
-                )
+                self._log_delete(eng.wal, 24, eng.mods["log"], table, key)
             eng._w(self.trace, "log", 0.25)
             eng.wal.append(self.txn_id, "commit", 16, self.trace, eng.mods["log"])
         eng._w(self.trace, "session", 0.15)
@@ -254,19 +244,24 @@ class DBMSM(Engine):
     """Commercial main-memory engine with a legacy SQL stack around it."""
 
     system = "DBMS M"
+    transaction_class = DBMSMTransaction
     default_index_kind = HASH
     is_partitioned = False
     # The cache-conscious B-tree variant "similar to the Bw-tree":
     # page-sized nodes with a search confined to the first lines.
     default_node_bytes = 8192
     default_search_line_cap = 3
+    compiler = TransactionCompiler(DBMS_M_COMPILER)
+    compile_templates = (
+        CodeModule("tpl:m_exec", ENGINE, 36 * 1024),
+        CodeModule("tpl:m_index", ENGINE, 14 * 1024),
+        CodeModule("tpl:m_access", ENGINE, 12 * 1024),
+    )
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         super().__init__(config)
         self.versions = MVCCStore("dbmsm", self.space)
         self.wal = WriteAheadLog("dbmsm", self.space, buffer_bytes=2 << 20)
-        self._compiler = TransactionCompiler(DBMS_M_COMPILER)
-        self._compiled_mods: dict[str, int] = {}
         self._commits_since_gc = 0
         # Committed after-images by (table, row_id): updates live in the
         # version store, not the heap, so the committed view needs a map.
@@ -298,23 +293,6 @@ class DBMSM(Engine):
         self._module("mvcc_code", ENGINE, 16, **lean)
         self._module("log", ENGINE, 10, **lean)
 
-    def compiled_module(self, procedure: str) -> int:
-        mod = self._compiled_mods.get(procedure)
-        if mod is None:
-            templates = [
-                CodeModule("tpl:m_exec", ENGINE, 36 * 1024),
-                CodeModule("tpl:m_index", ENGINE, 14 * 1024),
-                CodeModule("tpl:m_access", ENGINE, 12 * 1024),
-            ]
-            mod = self._compiler.compile(self.layout, procedure, templates)
-            self._compiled_mods[procedure] = mod
-        return mod
-
-    def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> DBMSMTransaction:
-        if trace is None:
-            trace = AccessTrace()
-        return DBMSMTransaction(self, trace, self._new_txn_id(), procedure)
-
     def recovery_log(self) -> WriteAheadLog:
         return self.wal
 
@@ -332,6 +310,3 @@ class DBMSM(Engine):
         return [
             (self.versions._arena.region.base_line, max(1, self.versions._arena.used_bytes // 64)),
         ]
-
-    def _aux_cold_regions(self) -> list[tuple[int, int]]:
-        return [(self.wal._region.base_line, self.wal._region.n_lines)]

@@ -32,23 +32,12 @@ from repro.engines.config import EngineConfig
 from repro.storage.index_factory import ART
 from repro.storage.wal import WriteAheadLog
 
-# The interpreted query-processing path a compiled procedure subsumes.
-# These are *templates* for footprint derivation — HyPer never executes
-# them, which is precisely the point of compilation.
-_INTERPRETED_TEMPLATES = [
-    CodeModule("tpl:interp_exec", ENGINE, 96 * 1024),
-    CodeModule("tpl:index_interp", ENGINE, 24 * 1024),
-    CodeModule("tpl:tuple_access", ENGINE, 18 * 1024),
-    CodeModule("tpl:txn_logic", ENGINE, 14 * 1024),
-]
-
 
 class HyPerTransaction(Transaction):
     """One compiled stored-procedure invocation, serial in its partition."""
 
     def __init__(self, engine: "HyPerEngine", trace: AccessTrace, txn_id: int, procedure: str) -> None:
         super().__init__(engine, trace, txn_id, procedure)
-        self._shadow: list[tuple] = []  # undo via shadow copies
         self._compiled = engine.compiled_module(procedure)
         eng = engine
         eng._w(trace, "runtime", 0.05)
@@ -63,8 +52,7 @@ class HyPerTransaction(Transaction):
         eng = self.engine
         eng.stats.operations += 1
         self._loop_body()
-        row_id = eng.table(table).probe(key, self.trace, self._compiled)
-        eng._retire_comparisons(self.trace, table, self._compiled)
+        row_id = self._probe(table, key, self._compiled)
         if row_id is None:
             return None
         return eng.table(table).heap.read(row_id, self.trace, self._compiled)
@@ -73,23 +61,17 @@ class HyPerTransaction(Transaction):
         eng = self.engine
         eng.stats.operations += 1
         self._loop_body()
-        row_id = eng.table(table).probe(key, self.trace, self._compiled)
-        eng._retire_comparisons(self.trace, table, self._compiled)
+        row_id = self._probe(table, key, self._compiled)
         if row_id is None:
             raise KeyError(f"update of missing key {key} in {table!r}")
         heap = eng.table(table).heap
-        old_row = heap.read(row_id)
-        self._shadow.append(("update", table, row_id, old_row))
+        old_row = self._before_image(table, row_id)  # shadow copy
         new_row = heap.update_column(
             row_id, column, value, self.trace, self._compiled, old_row=old_row
         )
         # Redo logging is compiled straight into the transaction code;
         # the after-image payload makes the log replayable.
-        eng.redo_log.append(
-            self.txn_id, "update", heap.row_bytes,
-            self.trace, self._compiled,
-            payload=(table, row_id, new_row),
-        )
+        self._log_update(eng.redo_log, heap.row_bytes, self._compiled, table, row_id, new_row)
         return new_row
 
     def insert(self, table: str, values: tuple, key: int | None = None) -> int:
@@ -97,11 +79,8 @@ class HyPerTransaction(Transaction):
         eng.stats.operations += 1
         self._loop_body()
         row_id = eng.table(table).insert_row(values, key, self.trace, self._compiled)
-        self._shadow.append(("insert", table, key if key is not None else row_id))
-        eng.redo_log.append(
-            self.txn_id, "insert", 24, self.trace, self._compiled,
-            payload=(table, key if key is not None else row_id, row_id, tuple(values)),
-        )
+        self.undo.append(("insert", table, key if key is not None else row_id))
+        self._log_insert(eng.redo_log, 24, self._compiled, table, key, row_id, values)
         return row_id
 
     def scan(self, table: str, key: int, n: int) -> list:
@@ -123,11 +102,8 @@ class HyPerTransaction(Transaction):
         row_id = tbl.probe(key, None, self._compiled)
         present = tbl.delete_key(key, self.trace, self._compiled)
         if present:
-            self._shadow.append(("delete", table, key, row_id))
-            eng.redo_log.append(
-                self.txn_id, "delete", 24, self.trace, self._compiled,
-                payload=(table, key),
-            )
+            self.undo.append(("delete", table, key, row_id))
+            self._log_delete(eng.redo_log, 24, self._compiled, table, key)
         return present
 
     def commit(self) -> None:
@@ -145,35 +121,31 @@ class HyPerTransaction(Transaction):
         # Abort marker so recovery can classify this transaction without
         # waiting for end-of-log (bookkeeping only: trace=None).
         eng.redo_log.append(self.txn_id, "abort", 0)
-        # Restore the shadow copies in reverse order.
-        for entry in reversed(self._shadow):
-            kind = entry[0]
-            if kind == "update":
-                _, table, row_id, old_row = entry
-                eng.table(table).heap.write(row_id, old_row, self.trace, self._compiled)
-            elif kind == "insert":
-                _, table, key = entry
-                eng.table(table).delete_key(key, self.trace, self._compiled)
-            else:
-                _, table, key, row_id = entry
-                if row_id is not None:
-                    eng.table(table).insert_key(key, row_id, self.trace, self._compiled)
-        self._shadow.clear()
+        self._roll_back(self._compiled)  # restore the shadow copies
 
 
 class HyPerEngine(Engine):
     """HyPer's compiled, partitioned execution model."""
 
     system = "HyPer"
+    transaction_class = HyPerTransaction
     default_index_kind = ART
     is_partitioned = True
     begin_phase = "compile"
+    compiler = TransactionCompiler(HYPER_COMPILER)
+    # The interpreted query-processing path a compiled procedure
+    # subsumes: *templates* for footprint derivation — HyPer never
+    # executes them, which is precisely the point of compilation.
+    compile_templates = (
+        CodeModule("tpl:interp_exec", ENGINE, 96 * 1024),
+        CodeModule("tpl:index_interp", ENGINE, 24 * 1024),
+        CodeModule("tpl:tuple_access", ENGINE, 18 * 1024),
+        CodeModule("tpl:txn_logic", ENGINE, 14 * 1024),
+    )
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         super().__init__(config)
         self.redo_log = WriteAheadLog("hyper-redo", self.space, buffer_bytes=2 << 20)
-        self._compiler = TransactionCompiler(HYPER_COMPILER)
-        self._compiled: dict[str, int] = {}
 
     def _register_modules(self) -> None:
         # A thin runtime is all that remains outside compiled code:
@@ -186,20 +158,5 @@ class HyPerEngine(Engine):
             base_cpi=0.40,
         )
 
-    def compiled_module(self, procedure: str) -> int:
-        mod = self._compiled.get(procedure)
-        if mod is None:
-            mod = self._compiler.compile(self.layout, procedure, _INTERPRETED_TEMPLATES)
-            self._compiled[procedure] = mod
-        return mod
-
-    def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> HyPerTransaction:
-        if trace is None:
-            trace = AccessTrace()
-        return HyPerTransaction(self, trace, self._new_txn_id(), procedure)
-
     def recovery_log(self) -> WriteAheadLog:
         return self.redo_log
-
-    def _aux_cold_regions(self) -> list[tuple[int, int]]:
-        return [(self.redo_log._region.base_line, self.redo_log._region.n_lines)]

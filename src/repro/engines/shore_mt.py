@@ -33,8 +33,6 @@ class ShoreMTTransaction(Transaction):
     def __init__(self, engine: "ShoreMT", trace: AccessTrace, txn_id: int, procedure: str) -> None:
         super().__init__(engine, trace, txn_id, procedure)
         self._tables_locked: set[str] = set()
-        # Before-images for ARIES-style rollback: (kind, table, ...).
-        self._undo: list[tuple] = []
         eng = engine
         eng._txn_begin_walk(trace)
         eng._w(trace, "txn_mgr", 0.30)
@@ -89,8 +87,7 @@ class ShoreMTTransaction(Transaction):
         self._intent_lock(table, write=False)
         eng._w(self.trace, "btree", 0.34)
         self._fix_index_pages(table, key)
-        row_id = eng.table(table).probe(key, self.trace, eng.mods["btree"])
-        eng._retire_comparisons(self.trace, table, eng.mods["btree"])
+        row_id = self._probe(table, key, eng.mods["btree"])
         if row_id is None:
             return None
         self._lock(("row", table, key), LockMode.S)
@@ -105,24 +102,19 @@ class ShoreMTTransaction(Transaction):
         self._intent_lock(table, write=True)
         eng._w(self.trace, "btree", 0.34)
         self._fix_index_pages(table, key)
-        row_id = eng.table(table).probe(key, self.trace, eng.mods["btree"])
-        eng._retire_comparisons(self.trace, table, eng.mods["btree"])
+        row_id = self._probe(table, key, eng.mods["btree"])
         if row_id is None:
             raise KeyError(f"update of missing key {key} in {table!r}")
         self._lock(("row", table, key), LockMode.X)
         self._fix_row_page(table, row_id)
         eng._w(self.trace, "heap_code", 0.30)
         heap = eng.table(table).heap
-        old_row = heap.read(row_id)
-        self._undo.append(("update", table, row_id, old_row))
+        old_row = self._before_image(table, row_id)
         new_row = heap.update_column(
             row_id, column, value, self.trace, eng.mods["heap_code"], old_row=old_row
         )
         eng._w(self.trace, "log", 0.30)
-        eng.wal.append(
-            self.txn_id, "update", heap.row_bytes, self.trace, eng.mods["log"],
-            payload=(table, row_id, new_row),
-        )
+        self._log_update(eng.wal, heap.row_bytes, eng.mods["log"], table, row_id, new_row)
         return new_row
 
     def insert(self, table: str, values: tuple, key: int | None = None) -> int:
@@ -134,14 +126,11 @@ class ShoreMTTransaction(Transaction):
         eng._w(self.trace, "heap_code", 0.40)
         tbl = eng.table(table)
         row_id = tbl.insert_row(values, key, self.trace, eng.mods["heap_code"])
-        self._undo.append(("insert", table, key if key is not None else row_id))
+        self.undo.append(("insert", table, key if key is not None else row_id))
         self._lock(("row", table, key if key is not None else row_id), LockMode.X)
         self._fix_row_page(table, row_id)
         eng._w(self.trace, "log", 0.35)
-        eng.wal.append(
-            self.txn_id, "insert", tbl.heap.row_bytes, self.trace, eng.mods["log"],
-            payload=(table, key if key is not None else row_id, row_id, tuple(values)),
-        )
+        self._log_insert(eng.wal, tbl.heap.row_bytes, eng.mods["log"], table, key, row_id, values)
         return row_id
 
     def scan(self, table: str, key: int, n: int) -> list:
@@ -178,12 +167,9 @@ class ShoreMTTransaction(Transaction):
         row_id = tbl.probe(key, None, eng.mods["btree"])
         present = tbl.delete_key(key, self.trace, eng.mods["btree"])
         if present:
-            self._undo.append(("delete", table, key, row_id))
+            self.undo.append(("delete", table, key, row_id))
             eng._w(self.trace, "log", 0.30)
-            eng.wal.append(
-                self.txn_id, "delete", 24, self.trace, eng.mods["log"],
-                payload=(table, key),
-            )
+            self._log_delete(eng.wal, 24, eng.mods["log"], table, key)
         return present
 
     # -- completion ------------------------------------------------------------------
@@ -203,45 +189,17 @@ class ShoreMTTransaction(Transaction):
         eng = self.engine
         eng._w(self.trace, "txn_mgr", 0.30)
         eng._w(self.trace, "log", 0.35)  # rollback walks the log tail
-        self._rollback()
+        # Before-images applied in reverse, each followed by its CLR.
+        self._roll_back(eng.mods["heap_code"], eng.wal, eng.mods["log"])
         eng.wal.append(self.txn_id, "abort", 24, self.trace, eng.mods["log"])
         eng.locks.release_all(self.txn_id, self.trace, eng.mods["lock_mgr"])
-
-    def _rollback(self) -> None:
-        """Apply before-images in reverse (compensation writes)."""
-        eng = self.engine
-        mod = eng.mods["heap_code"]
-        for entry in reversed(self._undo):
-            kind = entry[0]
-            if kind == "update":
-                _, table, row_id, old_row = entry
-                eng.table(table).heap.write(row_id, old_row, self.trace, mod)
-                eng.wal.append(
-                    self.txn_id, "clr", 24, self.trace, eng.mods["log"],
-                    payload=("update", table, row_id, old_row),
-                )
-            elif kind == "insert":
-                _, table, key = entry
-                eng.table(table).delete_key(key, self.trace, mod)
-                eng.wal.append(
-                    self.txn_id, "clr", 24, self.trace, eng.mods["log"],
-                    payload=("uninsert", table, key),
-                )
-            else:  # deleted key: restore the index entry
-                _, table, key, row_id = entry
-                if row_id is not None:
-                    eng.table(table).insert_key(key, row_id, self.trace, mod)
-                    eng.wal.append(
-                        self.txn_id, "clr", 24, self.trace, eng.mods["log"],
-                        payload=("undelete", table, key, row_id),
-                    )
-        self._undo.clear()
 
 
 class ShoreMT(Engine):
     """The Shore-MT storage manager with Shore-Kits hard-coded plans."""
 
     system = "Shore-MT"
+    transaction_class = ShoreMTTransaction
     default_index_kind = BTREE
     is_partitioned = False
 
@@ -288,11 +246,6 @@ class ShoreMT(Engine):
                 pages.append(page)
         return pages
 
-    def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> ShoreMTTransaction:
-        if trace is None:
-            trace = AccessTrace()
-        return ShoreMTTransaction(self, trace, self._new_txn_id(), procedure)
-
     def recovery_log(self) -> WriteAheadLog:
         return self.wal
 
@@ -302,6 +255,3 @@ class ShoreMT(Engine):
             (self.bpool._pt_region.base_line, self.bpool._pt_region.n_lines),
             (self.bpool._frame_region.base_line, self.bpool._frame_region.n_lines),
         ]
-
-    def _aux_cold_regions(self) -> list[tuple[int, int]]:
-        return [(self.wal._region.base_line, self.wal._region.n_lines)]

@@ -37,7 +37,6 @@ class VoltDBTransaction(Transaction):
 
     def __init__(self, engine: "VoltDBEngine", trace: AccessTrace, txn_id: int, procedure: str) -> None:
         super().__init__(engine, trace, txn_id, procedure)
-        self._undo_entries: list[tuple] = []
         eng = engine
         # Client request: network receive, procedure dispatch, parameter
         # deserialisation, transaction initiation in the Java layer.
@@ -70,8 +69,7 @@ class VoltDBTransaction(Transaction):
         eng.stats.operations += 1
         self._enter_ee(table)
         eng._w(self.trace, "index_code", 0.30)
-        row_id = eng.table(table).probe(key, self.trace, eng.mods["index_code"])
-        eng._retire_comparisons(self.trace, table, eng.mods["index_code"])
+        row_id = self._probe(table, key, eng.mods["index_code"])
         if row_id is None:
             return None
         eng._w(self.trace, "table_code", 0.20)
@@ -82,15 +80,13 @@ class VoltDBTransaction(Transaction):
         eng.stats.operations += 1
         self._enter_ee(table)
         eng._w(self.trace, "index_code", 0.30)
-        row_id = eng.table(table).probe(key, self.trace, eng.mods["index_code"])
-        eng._retire_comparisons(self.trace, table, eng.mods["index_code"])
+        row_id = self._probe(table, key, eng.mods["index_code"])
         if row_id is None:
             raise KeyError(f"update of missing key {key} in {table!r}")
         # Undo record before the in-place write (serial partition: no locks).
         eng._w(self.trace, "undo", 0.40)
         heap = eng.table(table).heap
-        old_row = heap.read(row_id)
-        self._undo_entries.append(("update", table, row_id, old_row))
+        old_row = self._before_image(table, row_id)
         eng.undo_log.append(self.txn_id, "undo", heap.row_bytes,
                             self.trace, eng.mods["undo"])
         eng._w(self.trace, "table_code", 0.26)
@@ -98,9 +94,9 @@ class VoltDBTransaction(Transaction):
             row_id, column, value, self.trace, eng.mods["table_code"], old_row=old_row
         )
         # Command logging replays the invocation; for recovery we also
-        # record the after-image (bookkeeping only: trace=None, zero
+        # record the after-image (bookkeeping only: mod None, zero
         # bytes — the invoke record above carries the logging traffic).
-        eng.command_log.append(self.txn_id, "update", 0, payload=(table, row_id, new_row))
+        self._log_update(eng.command_log, 0, None, table, row_id, new_row)
         return new_row
 
     def insert(self, table: str, values: tuple, key: int | None = None) -> int:
@@ -111,12 +107,9 @@ class VoltDBTransaction(Transaction):
         eng._w(self.trace, "index_code", 0.30)
         row_id = eng.table(table).insert_row(values, key, self.trace, eng.mods["table_code"])
         eng._w(self.trace, "undo", 0.30)
-        self._undo_entries.append(("insert", table, key if key is not None else row_id))
+        self.undo.append(("insert", table, key if key is not None else row_id))
         eng.undo_log.append(self.txn_id, "undo-insert", 24, self.trace, eng.mods["undo"])
-        eng.command_log.append(
-            self.txn_id, "insert", 0,
-            payload=(table, key if key is not None else row_id, row_id, tuple(values)),
-        )
+        self._log_insert(eng.command_log, 0, None, table, key, row_id, values)
         return row_id
 
     def scan(self, table: str, key: int, n: int) -> list:
@@ -144,9 +137,9 @@ class VoltDBTransaction(Transaction):
         present = tbl.delete_key(key, self.trace, eng.mods["index_code"])
         if present:
             eng._w(self.trace, "undo", 0.30)
-            self._undo_entries.append(("delete", table, key, row_id))
+            self.undo.append(("delete", table, key, row_id))
             eng.undo_log.append(self.txn_id, "undo-delete", 24, self.trace, eng.mods["undo"])
-            eng.command_log.append(self.txn_id, "delete", 0, payload=(table, key))
+            self._log_delete(eng.command_log, 0, None, table, key)
         return present
 
     def commit(self) -> None:
@@ -166,20 +159,7 @@ class VoltDBTransaction(Transaction):
         # Abort marker for recovery classification (bookkeeping only).
         eng.command_log.append(self.txn_id, "abort", 0)
         eng._w(self.trace, "undo", 0.50)  # roll the undo log back
-        mod = eng.mods["undo"]
-        for entry in reversed(self._undo_entries):
-            kind = entry[0]
-            if kind == "update":
-                _, table, row_id, old_row = entry
-                eng.table(table).heap.write(row_id, old_row, self.trace, mod)
-            elif kind == "insert":
-                _, table, key = entry
-                eng.table(table).delete_key(key, self.trace, mod)
-            else:
-                _, table, key, row_id = entry
-                if row_id is not None:
-                    eng.table(table).insert_key(key, row_id, self.trace, mod)
-        self._undo_entries.clear()
+        self._roll_back(eng.mods["undo"])
         eng._w(self.trace, "serde", 0.25)
         eng._w(self.trace, "network", 0.20)
 
@@ -188,6 +168,7 @@ class VoltDBEngine(Engine):
     """VoltDB's partitioned, serial, interpreted execution model."""
 
     system = "VoltDB"
+    transaction_class = VoltDBTransaction
     default_index_kind = CC_BTREE
     is_partitioned = True
     begin_phase = "plan_dispatch"
@@ -215,11 +196,6 @@ class VoltDBEngine(Engine):
         self._module("table_code", ENGINE, 9, **ee)
         self._module("undo", ENGINE, 7, **ee)
 
-    def begin(self, trace: AccessTrace | None = None, procedure: str = "adhoc") -> VoltDBTransaction:
-        if trace is None:
-            trace = AccessTrace()
-        return VoltDBTransaction(self, trace, self._new_txn_id(), procedure)
-
     def recovery_log(self) -> WriteAheadLog:
         return self.command_log
 
@@ -228,6 +204,3 @@ class VoltDBEngine(Engine):
 
     def _aux_hot_regions(self) -> list[tuple[int, int]]:
         return [(self.undo_log._region.base_line, self.undo_log._region.n_lines)]
-
-    def _aux_cold_regions(self) -> list[tuple[int, int]]:
-        return [(self.command_log._region.base_line, self.command_log._region.n_lines)]

@@ -37,9 +37,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro import obs
-from repro.bench.runner import prewarm_llc
-from repro.core.machine import Machine
-from repro.core.spec import IVY_BRIDGE
+from repro.bench.runner import RunSpec, prewarm_llc
 from repro.engines.base import COMMITTED
 from repro.engines.registry import boot_node, check_system
 from repro.faults.injector import (
@@ -248,8 +246,8 @@ class _NodeBackend:
         else:
             image_purpose = f"load-image:{tag}"
             self.node = SingleNode(boot, child_rng(spec.seed, image_purpose), image_purpose)
-        self.machine = Machine(IVY_BRIDGE)
-        self.ns_per_cycle = 1.0 / IVY_BRIDGE.clock_ghz
+        self.machine = RunSpec(system=spec.system).machine()
+        self.ns_per_cycle = 1.0 / self.machine.spec.clock_ghz
         prewarm_llc(self.machine, self.node.engine)
         if spec.fault_rate > 0:
             self.node.attach_injector(

@@ -49,7 +49,7 @@ from repro.engines.base import COMMITTED
 from repro.util import sanitizer
 from repro.replication.network import SimNetwork
 from repro.storage.recovery import RecoveredState, restart
-from repro.storage.wal import LogImage, LogRecord
+from repro.storage.wal import LogImage, LogRecord, records_after
 from repro.util.backoff import jittered_backoff
 from repro.util.rng import child_rng
 
@@ -66,6 +66,16 @@ def check_ack(ack: str) -> None:
     """Raise ``ValueError`` unless *ack* is one of :data:`ACK_MODES`."""
     if ack not in ACK_MODES:
         raise ValueError(f"unknown ack mode {ack!r}; known: {', '.join(ACK_MODES)}")
+
+
+def log_digest(epoch: int, records) -> int:
+    """Byte-level checksum of a log's records within *epoch*: a replica's
+    durable log and the primary's shipped history digest alike."""
+    content = (
+        epoch,
+        tuple((r.lsn, r.txn_id, r.kind, r.payload_bytes, r.checksum) for r in records),
+    )
+    return zlib.crc32(repr(content).encode())
 
 
 @dataclass(frozen=True)
@@ -149,14 +159,7 @@ class Replica:
 
     def digest(self) -> int:
         """Byte-level checksum of the replica's durable log."""
-        content = (
-            self.epoch,
-            tuple(
-                (r.lsn, r.txn_id, r.kind, r.payload_bytes, r.checksum)
-                for r in self.records
-            ),
-        )
-        return zlib.crc32(repr(content).encode())
+        return log_digest(self.epoch, self.records)
 
 
 @dataclass
@@ -266,7 +269,7 @@ class ReplicationGroup:
             batches = 0
             for replica in self.replicas:
                 cursor = self._sent_lsn[replica.replica_id]
-                batch = tuple(r for r in self.history if r.lsn > cursor)
+                batch = tuple(records_after(self.history, cursor))
                 if not batch:
                     continue
                 self.net.send(
@@ -462,14 +465,7 @@ class ReplicationGroup:
     def primary_log_digest(self) -> int:
         """The primary's shipped history, digested like a replica log."""
         self._capture_history()
-        content = (
-            self.epoch,
-            tuple(
-                (r.lsn, r.txn_id, r.kind, r.payload_bytes, r.checksum)
-                for r in self.history
-            ),
-        )
-        return zlib.crc32(repr(content).encode())
+        return log_digest(self.epoch, self.history)
 
     def final_sync(self, max_rounds: int = 32) -> None:
         """Heal partitions and drive every replica to the primary's tip."""

@@ -248,6 +248,9 @@ def replay(log) -> RecoveredState:
 
 
 def _redo(state: RecoveredState, record: LogRecord) -> None:
+    """Re-apply one value-log record.  Engines write these payloads only
+    through ``Transaction._log_update`` / ``_log_insert`` /
+    ``_log_delete`` (:mod:`repro.engines.base`)."""
     payload = record.payload
     if record.kind == "update":
         table, row_id, after = payload
@@ -274,7 +277,8 @@ def _redo(state: RecoveredState, record: LogRecord) -> None:
 
 
 def _apply_clr(state: RecoveredState, record: LogRecord) -> None:
-    """Re-apply one compensation record of an interrupted rollback."""
+    """Re-apply one compensation record of an interrupted rollback
+    (written by ``Transaction._roll_back`` in :mod:`repro.engines.base`)."""
     payload = record.payload
     action = payload[0]
     if action == "update":

@@ -24,7 +24,9 @@ from __future__ import annotations
 import enum
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from repro import obs
 from repro.core.spec import CACHE_LINE_BYTES
@@ -110,6 +112,18 @@ class LogRecord:
         return stored == record_checksum(
             self.lsn, self.txn_id, self.kind, self.payload_bytes, self.payload
         )
+
+
+_lsn = attrgetter("lsn")
+
+
+def records_after(records: list[LogRecord], lsn: int) -> list[LogRecord]:
+    """The records of LSN-ordered *records* with ``lsn > lsn``.
+
+    Logs append in LSN order, so this is a slice at a binary search,
+    not a scan of every record.
+    """
+    return records[bisect_right(records, lsn, key=_lsn):]
 
 
 def torn_copy(record: LogRecord) -> LogRecord:
@@ -280,7 +294,7 @@ class WriteAheadLog:
 
     def records_since(self, lsn: int) -> list[LogRecord]:
         """Retained records with ``lsn > lsn`` (the WAL-shipping feed)."""
-        return [r for r in self.records if r.lsn > lsn]
+        return records_after(self.records, lsn)
 
     def truncate_before(self, lsn: int) -> int:
         """Drop retained records with ``lsn < lsn`` (post-checkpoint GC)."""

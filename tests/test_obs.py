@@ -488,44 +488,31 @@ class TestPerfProvenance:
 
 
 class TestReplayOverhead:
-    def test_disabled_tracing_overhead_under_five_percent(self):
-        """The acceptance gate: <5% on the replay hot loop when off.
-
-        Compares the instrumented Machine.run_trace against itself (the
-        pre-instrumentation baseline is gone), so what this actually
-        guards is that the disabled path stays one null-check — the two
-        timings must be statistically indistinguishable; 5% is slack
-        for timer noise.
-        """
-        import time
-
+    def test_disabled_replay_checks_the_tracer_once_per_call(self, monkeypatch):
+        """The disabled replay path stays one null-check: each
+        Machine.run_trace asks obs.tracer() exactly once, however long
+        the trace (a count, so host timing noise cannot fail it)."""
         from repro.core.machine import Machine
         from repro.core.trace import AccessTrace
 
-        machine = Machine()
-        trace = AccessTrace()
-        trace.ifetch_run(4096, 2000, module=0)
-        trace.retire(0, 32_000, base_cycles=12_000)
+        calls = []
+        real_tracer = obs.tracer
 
-        def best_of(n=7, rounds=40):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                for _ in range(rounds):
-                    machine.run_trace(trace)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def counting_tracer():
+            calls.append(None)
+            return real_tracer()
 
-        best_of(n=2)  # warm caches and code paths
+        monkeypatch.setattr(obs, "tracer", counting_tracer)
         assert not obs.enabled()
-        disabled = best_of()
-        with obs.using_obs(True) as tracer:
-            enabled = best_of()
-            tracer.events.clear()
-        # Not an assertion on `enabled` — tracing may cost more; the
-        # gate is that the *disabled* path didn't regress vs itself.
-        second_disabled = best_of()
-        slower = max(disabled, second_disabled)
-        faster = min(disabled, second_disabled)
-        assert slower / faster < 1.25  # same code path, noise only
-        assert enabled > 0  # tracing ran and recorded
+        machine = Machine()
+        for n_lines in (1, 64, 2000):
+            trace = AccessTrace()
+            trace.ifetch_run(4096, n_lines, module=0)
+            for i in range(n_lines):
+                trace.load((1 << 20) + 7 * i, module=0)
+                trace.store((1 << 21) + i, module=1)
+            trace.retire(0, 16 * n_lines, base_cycles=6.0 * n_lines)
+            calls.clear()
+            for _ in range(3):
+                machine.run_trace(trace)
+            assert len(calls) == 3, n_lines

@@ -1,5 +1,7 @@
 """Write-ahead-log tests."""
 
+import random
+
 import pytest
 
 from repro.core.trace import AccessTrace, DSTORE
@@ -95,3 +97,46 @@ class TestIntegrity:
         dropped = wal.truncate_before(4)
         assert dropped == 3
         assert [r.lsn for r in wal.records] == [4, 5, 6]
+
+
+class TestRecordsSince:
+    """records_since slices at a binary search; the scan it replaced is
+    the reference."""
+
+    @staticmethod
+    def _assert_matches_scan(wal, rng):
+        lsns = [r.lsn for r in wal.records]
+        top = wal.next_lsn + 2
+        cutoffs = {-1, 0, top} | set(lsns) | {rng.randrange(-1, top) for _ in range(40)}
+        for cutoff in sorted(cutoffs):
+            expected = [r for r in wal.records if r.lsn > cutoff]
+            assert wal.records_since(cutoff) == expected, cutoff
+
+    def _fill(self, wal, rng, n):
+        for i in range(n):
+            kind = rng.choice(["update", "insert", "delete", "commit", "abort"])
+            wal.append(1 + i // 4, kind, rng.randrange(0, 64))
+
+    def test_random_cutoffs(self):
+        rng = random.Random(7)
+        wal = make(retain_all=True)
+        self._assert_matches_scan(wal, rng)  # empty log
+        self._fill(wal, rng, 300)
+        self._assert_matches_scan(wal, rng)
+
+    def test_after_truncate_before(self):
+        rng = random.Random(8)
+        wal = make(retain_all=True)
+        self._fill(wal, rng, 200)
+        wal.truncate_before(rng.randrange(2, 150))
+        assert wal.records[0].lsn > 1
+        self._assert_matches_scan(wal, rng)
+
+    def test_after_group_commit_trim(self):
+        rng = random.Random(9)
+        wal = make(group_commit_size=4)
+        for txn in range(1, 80):
+            wal.append(txn, "update", 16)
+            wal.append(txn, "commit", 8)
+        assert wal.flushes > 0 and wal.records[0].lsn > 1  # the tail was trimmed
+        self._assert_matches_scan(wal, rng)
