@@ -16,10 +16,7 @@ from repro.workloads import MicroBenchmark
 
 def show(system: str) -> None:
     profiles = profile_modules(
-        RunSpec(system=system).quick(),
-        lambda: MicroBenchmark(db_bytes=100 << 30),
-        measure_txns=60,
-        warmup_txns=20,
+        RunSpec(system=system).quick(), lambda: MicroBenchmark(db_bytes=100 << 30)
     )
     print(f"--- {system}: read-only micro-benchmark, 100GB ---")
     print(render_breakdown(profiles))

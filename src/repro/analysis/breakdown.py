@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.bench.runner import RunSpec, prewarm_llc
+from repro.bench.runner import RunSpec, measure_window
 from repro.core.machine import (
     M_D_L1M,
     M_D_LLCM,
@@ -20,9 +20,6 @@ from repro.core.machine import (
     M_IF_LLCM,
     M_INSTR,
 )
-from repro.core.profiler import Profiler
-from repro.engines.registry import boot_engine
-from repro.util.rng import root_rng
 
 
 @dataclass(frozen=True)
@@ -42,30 +39,16 @@ class ModuleProfile:
         return self.cycles / total if total else 0.0
 
 
-def profile_modules(
-    spec: RunSpec,
-    workload_factory,
-    *,
-    measure_txns: int = 120,
-    warmup_txns: int = 40,
-) -> list[ModuleProfile]:
-    """Run one cell and return its per-module profile, hottest first."""
-    workload = workload_factory()
-    engine = boot_engine(spec.system, spec.engine_config, workload)
-    machine = replace(spec, n_cores=1).machine()
-    prewarm_llc(machine, engine)
-    rng = root_rng(spec.seed, "workload")
+def profile_modules(spec: RunSpec, workload_factory) -> list[ModuleProfile]:
+    """Split one cell's measure window into per-module rows, hottest first.
 
-    for _ in range(warmup_txns):
-        procedure, body = workload.next_transaction(rng)
-        machine.run_trace(engine.execute(procedure, body))
-    profiler = Profiler(machine)
-    profiler.start_window()
-    for _ in range(measure_txns):
-        procedure, body = workload.next_transaction(rng)
-        machine.run_trace(engine.execute(procedure, body))
-    window = profiler.end_window()
-
+    The window is the one :func:`~repro.bench.runner.run_repetition`
+    measures for the cell's first worker (``n_cores=1``) at
+    ``spec.seed``, so the rows' cycles sum to that repetition's.
+    """
+    engine, window, _ = measure_window(
+        replace(spec, n_cores=1), workload_factory, spec.seed
+    )
     layout = engine.layout
     profiles = [
         ModuleProfile(

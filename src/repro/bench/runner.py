@@ -40,9 +40,9 @@ from repro.core.metrics import (
     stalls_per_kilo_instruction,
     stalls_per_transaction,
 )
-from repro.core.profiler import Profiler
+from repro.core.profiler import ProfileWindow, Profiler
 from repro.core.spec import IVY_BRIDGE, ServerSpec
-from repro.engines.base import COMMITTED
+from repro.engines.base import COMMITTED, Engine
 from repro.engines.config import EngineConfig
 from repro.engines.registry import boot_engine
 from repro.workloads.base import Workload
@@ -88,9 +88,10 @@ class RunSpec:
             repetitions=1,
         )
 
-    def machine(self) -> Machine:
-        """The simulated server this cell is priced on."""
-        return Machine(
+    def machine(self, engine: Engine) -> Machine:
+        """The simulated server this cell is priced on, with *engine*'s
+        hot set already resident in its LLC."""
+        machine = Machine(
             self.server,
             n_cores=self.n_cores,
             overlap=self.overlap,
@@ -98,6 +99,8 @@ class RunSpec:
             tlb_mode=self.tlb_mode,
             tlb_spec=self.tlb_spec,
         )
+        prewarm_llc(machine, engine)
+        return machine
 
     def rep_seed(self, rep: int) -> int:
         """Deterministic seed for repetition *rep* (0-based).
@@ -195,12 +198,15 @@ def prewarm_llc(machine: Machine, engine) -> None:
         llc.fill_regions(prewarm_picks(engine, llc.spec.n_lines)[::-1])
 
 
-def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
-    """One repetition of one cell: populate, warm up, measure.
+def measure_window(
+    spec: RunSpec, workload_factory, seed: int
+) -> tuple[Engine, ProfileWindow, int]:
+    """Populate, warm up and measure one repetition of one cell.
 
-    Module-level (not a method) so the parallel executor can ship the
-    call to a worker process; the serial path runs the very same
-    function, which is what makes ``--jobs N`` bit-identical to serial.
+    Returns ``(engine, window, measured_txns)``: the booted engine, the
+    profiler window of the measure phase and the committed transactions
+    inside it.  Every cell result and every module breakdown is read
+    from this one window.
     """
     workload: Workload = workload_factory()
     config = spec.engine_config
@@ -208,11 +214,9 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
         # Partitioned engines get one partition per worker (paper
         # Section 3: VoltDB generates one worker per partition).
         config = replace(config, n_partitions=spec.n_cores)
-    obs_mark = obs.mark()
     with obs.span("setup", track="harness", cat="harness", system=spec.system):
         engine = boot_engine(spec.system, config, workload)
-        machine = spec.machine()
-    prewarm_llc(machine, engine)
+    machine = spec.machine(engine)
 
     rng = root_rng(seed, "workload")
     partitioned = engine.is_partitioned and spec.n_cores > 1
@@ -280,7 +284,18 @@ def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
             measured_txns = run_phase(spec.measure_events, MIN_MEASURED_TXNS)
         window = profiler.end_window()
         rep_span.set(measured_txns=measured_txns)
+    return engine, window, measured_txns
 
+
+def run_repetition(spec: RunSpec, workload_factory, seed: int) -> RunResult:
+    """One repetition of one cell: populate, warm up, measure.
+
+    Module-level (not a method) so the parallel executor can ship the
+    call to a worker process; the serial path runs the very same
+    function, which is what makes ``--jobs N`` bit-identical to serial.
+    """
+    obs_mark = obs.mark()
+    engine, window, measured_txns = measure_window(spec, workload_factory, seed)
     # Per-worker average, as the paper reports multi-threaded runs —
     # but measured_txns stays the true total committed count across all
     # workers (scaling it down with the mean would report a per-worker

@@ -226,6 +226,21 @@ class LoadResult:
 
 # -- backends -----------------------------------------------------------------
 
+def _fault_injector(
+    spec: LoadSpec, seed: int, *window: FaultSpec
+) -> FaultInjector | None:
+    """The steady-state schedule (every transaction body aborts with
+    probability ``fault_rate``) followed by the *window* faults, seeded
+    *seed*; None when the schedule is empty."""
+    schedule = (
+        [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)]
+        if spec.fault_rate > 0
+        else []
+    )
+    schedule.extend(window)
+    return FaultInjector(schedule, seed=seed) if schedule else None
+
+
 class _NodeBackend:
     """A node + cycle-accurate machine: a :class:`SingleNode`, or a
     :class:`ReplicationGroup` when the spec asks for replicas.  Service
@@ -246,16 +261,11 @@ class _NodeBackend:
         else:
             image_purpose = f"load-image:{tag}"
             self.node = SingleNode(boot, child_rng(spec.seed, image_purpose), image_purpose)
-        self.machine = RunSpec(system=spec.system).machine()
+        self.machine = RunSpec(system=spec.system).machine(self.node.engine)
         self.ns_per_cycle = 1.0 / self.machine.spec.clock_ghz
-        prewarm_llc(self.machine, self.node.engine)
-        if spec.fault_rate > 0:
-            self.node.attach_injector(
-                FaultInjector(
-                    [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
-                    seed=spec.seed,
-                )
-            )
+        injector = _fault_injector(spec, spec.seed)
+        if injector is not None:
+            self.node.attach_injector(injector)
 
     def _fabric_clock(self) -> int:
         """Fabric ticks so far; a single node has no fabric."""
@@ -356,13 +366,9 @@ class _ShardedBackend:
                 seed=spec.seed,
             )
         )
-        if spec.fault_rate > 0:
-            self.cluster.attach_injector(
-                FaultInjector(
-                    [FaultSpec(TXN_BODY, ABORT, probability=spec.fault_rate, times=-1)],
-                    seed=spec.seed,
-                )
-            )
+        injector = _fault_injector(spec, spec.seed)
+        if injector is not None:
+            self.cluster.attach_injector(injector)
         self.rng = child_rng(spec.seed, f"load-cluster:{tag}")
         self.n_rows = spec.n_rows
         self._window_injector: FaultInjector | None = None
@@ -377,23 +383,15 @@ class _ShardedBackend:
         ``seed * 1000 + window + 1`` (the ChaosRunner segment idiom) so
         schedules stay independent per window.
         """
-        schedule = []
-        if self.spec.fault_rate > 0:
-            schedule.append(
-                FaultSpec(TXN_BODY, ABORT, probability=self.spec.fault_rate, times=-1)
-            )
+        window: tuple[FaultSpec, ...] = ()
         if kind == COORDINATOR_CRASH:
-            schedule.append(
-                FaultSpec(TPC_COORDINATOR, COORDINATOR_CRASH, probability=1.0, times=1)
+            window = (
+                FaultSpec(TPC_COORDINATOR, COORDINATOR_CRASH, probability=1.0, times=1),
             )
         elif kind == PREPARE_STALL:
-            schedule.append(
-                FaultSpec(TPC_PREPARE, PREPARE_STALL, probability=1.0, times=-1)
-            )
-        injector = (
-            FaultInjector(schedule, seed=self.spec.seed * 1000 + window_index + 1)
-            if schedule
-            else None
+            window = (FaultSpec(TPC_PREPARE, PREPARE_STALL, probability=1.0, times=-1),)
+        injector = _fault_injector(
+            self.spec, self.spec.seed * 1000 + window_index + 1, *window
         )
         self._window_injector = injector if kind is not None else None
         self.cluster.attach_injector(injector)

@@ -309,11 +309,6 @@ def load_record(result: LoadResult) -> dict:
     }
 
 
-def horizon_seconds(result: LoadResult) -> float:
-    """Virtual seconds one sweep point spans (for context in docs/tests)."""
-    return result.spec.arrival.n_events / result.base_rate if result.base_rate else 0.0
-
-
 __all__ = [
     "chaos_row",
     "load_record",

@@ -30,9 +30,7 @@ def quick_spec(system="dbms-d") -> RunSpec:
 class TestModuleBreakdown:
     @pytest.fixture(scope="class")
     def profiles(self):
-        return profile_modules(
-            quick_spec("dbms-d"), micro_factory, measure_txns=40, warmup_txns=10
-        )
+        return profile_modules(quick_spec("dbms-d"), micro_factory)
 
     def test_covers_all_touched_modules(self, profiles):
         names = {p.name for p in profiles}
@@ -59,21 +57,21 @@ class TestModuleBreakdown:
 
 class TestModuleBreakdownHardware:
     def test_prices_the_hardware_of_its_spec(self):
-        # A breakdown explains a figure cell, so it must run on that
-        # cell's machine: the TLB mode and the serial-miss surcharge
-        # move its cycles as they move run_repetition's.
+        # A breakdown explains a figure cell, so it must split that
+        # cell's measure window: same machine (the TLB mode and the
+        # serial-miss surcharge move the cycles), same budgets, same
+        # seed, hence the very cycles run_repetition reports.
         default = RunSpec(system="hyper").quick()
         tuned = replace(default, tlb_mode="measured", serial_miss_extra_cycles=300)
 
-        def breakdown_cycles(spec):
-            profiles = profile_modules(spec, micro_factory, measure_txns=40, warmup_txns=10)
-            return sum(p.cycles for p in profiles)
-
         def repetition_cycles(spec):
-            return run_repetition(spec, micro_factory, spec.seed).counters.cycles
+            one_worker = replace(spec, n_cores=1)
+            return run_repetition(one_worker, micro_factory, spec.seed).module_cycles
 
-        assert repetition_cycles(tuned) != repetition_cycles(default)
-        assert breakdown_cycles(tuned) != breakdown_cycles(default)
+        tuned_cycles = repetition_cycles(tuned)
+        breakdown = {p.name: p.cycles for p in profile_modules(tuned, micro_factory)}
+        assert breakdown == tuned_cycles
+        assert tuned_cycles != repetition_cycles(default)
 
 
 class TestHardwareSweeps:
