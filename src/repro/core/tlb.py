@@ -7,8 +7,8 @@ random access into a 100 GB working set pays.  This module provides the
 dTLB, 512-entry unified STLB, 4 KB pages) simulated over every data
 access.  The hierarchy counts the resulting page walks; the cycle model
 can then charge measured walks instead of the constant
-(``tlb_mode="measured"``), and the ablation bench
-(`benchmarks/test_bench_ablation_tlb.py`) shows the two agree — and
+(``tlb_mode="measured"``), and the ablation test
+(`tests/test_ablations.py`) shows the two agree — and
 what 2 MB huge pages would buy, a hardware/software co-design lever in
 the spirit of the paper's Section 8.
 

@@ -5,10 +5,8 @@ Usage::
     repro-lint [paths ...]          # default: src
     python -m repro.lint src tests
 
-Every file rule and every whole-program pass runs over the paths.
-Exit codes: 0 clean, 1 findings, 2 usage error.  Findings are
-suppressed only by inline pragmas (``# repro-lint: disable=<rule>``,
-``# repro-lint: skip-file``).
+Every file rule runs over the paths; pragmas are the only suppression
+(:mod:`repro.lint.engine`).  Exit codes: 0 clean, 1 findings, 2 usage.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.engine import LintConfig, iter_python_files
-from repro.lint.passes import lint_all
+from repro.lint.engine import LintConfig, LintEngine, iter_python_files
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,7 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     config = LintConfig()
-    findings = lint_all(args.paths, config=config)
+    findings = LintEngine(config=config).lint_paths(args.paths)
     for finding in findings:
         print(finding.render())
     n_files = sum(1 for _ in iter_python_files(args.paths, config))
@@ -49,6 +46,3 @@ def main(argv: list[str] | None = None) -> int:
 def console_main() -> int:  # pragma: no cover - thin wrapper
     return main()
 
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

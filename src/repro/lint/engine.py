@@ -7,9 +7,8 @@ a :class:`FileContext` to each registered :class:`Rule`.  Rules yield
 returns the rest in ``(line, col, rule)`` order — the whole pipeline
 is deterministic, as befits a determinism linter.
 
-Rules run on sim paths only.  A file is simulation code unless it
-looks like a test (``test_*.py``, ``conftest.py``, anything under a
-``tests``/``benchmarks`` directory): a test constructing its own
+Rules run on sim paths only (:func:`repro.util.sanitizer.is_sim_path`,
+shared with the runtime stream check): a test constructing its own
 ``random.Random(0)`` is deterministic and fine; library code must use
 the seeded factories.
 
@@ -24,6 +23,8 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from repro.util.sanitizer import is_sim_path
 
 FILE_PRAGMA = "repro-lint: skip-file"
 LINE_PRAGMA = "repro-lint: disable"
@@ -62,9 +63,7 @@ class LintConfig:
     def is_sim_path(self, path: Path) -> bool:
         if self.treat_as_sim is not None:
             return self.treat_as_sim
-        if path.name.startswith("test_") or path.name == "conftest.py":
-            return False
-        return not (set(path.parts) & {"tests", "benchmarks"})
+        return is_sim_path(path)
 
 
 @dataclass
@@ -73,7 +72,6 @@ class FileContext:
 
     path: Path
     display_path: str
-    lines: list[str]
     tree: ast.AST
     aliases: dict[str, str]
 
@@ -110,11 +108,8 @@ def _collect_aliases(tree: ast.AST) -> dict[str, str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.asname:
+                if alias.asname:  # a plain `import a.b` binds `a` to itself
                     aliases[alias.asname] = alias.name
-                else:
-                    root = alias.name.split(".")[0]
-                    aliases[root] = root
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             for alias in node.names:
                 if alias.name == "*":
@@ -184,7 +179,6 @@ class LintEngine:
         ctx = FileContext(
             path=path,
             display_path=display,
-            lines=lines,
             tree=tree,
             aliases=_collect_aliases(tree),
         )

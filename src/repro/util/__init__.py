@@ -16,7 +16,11 @@ initialising — can use them:
   construction anywhere else in sim code.
 * :mod:`repro.util.sanitizer` — the runtime RNG-stream sanitizer
   behind ``--sanitize``: provenance-tagged streams, cross-stream draw
-  detection, serial vs parallel draw counts.
+  detection, serial vs parallel draw counts, and the ``child_rng``
+  purpose registry (``STREAM_REGISTRY``) checked at each construction
+  site while armed.
+* :mod:`repro.util.timeunits` — the named ns/µs/ms/tick conversions
+  that ``repro-lint``'s ``unit-mismatch`` rule accepts.
 * :mod:`repro.util.stablehash` — :func:`~repro.util.stablehash.stable_hash`,
   the process-stable ``hash()`` replacement for placement decisions
   keyed by strings (builtin str hashing is randomized per process).

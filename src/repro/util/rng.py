@@ -27,26 +27,25 @@ When the runtime sanitizer is armed (``repro-bench --sanitize`` or
 ``REPRO_SANITIZE=1``), the factories return a
 :class:`repro.util.sanitizer.TrackedRandom` — a ``random.Random``
 subclass with the identical seeded state that additionally records
-per-stream draw counts and flags cross-stream draws.  Sanitized runs
-are bit-identical to plain runs.
+per-stream draw counts and flags cross-stream draws — and
+:func:`child_rng` checks its caller against the stream registry
+(:func:`repro.util.sanitizer.check_stream_site`).  Sanitized runs are
+bit-identical to plain runs; a disarmed call inspects no frame.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 from repro.util import sanitizer
 
 
-def _make(seed_value, purpose: str) -> random.Random:
-    if sanitizer.enabled():
-        return sanitizer.TrackedRandom(seed_value, purpose)
-    return random.Random(seed_value)
-
-
 def root_rng(seed, purpose: str = "root") -> random.Random:
     """A top-level stream: ``random.Random(seed)``, labelled *purpose*."""
-    return _make(seed, purpose)
+    if sanitizer.enabled():
+        return sanitizer.TrackedRandom(seed, purpose)
+    return random.Random(seed)
 
 
 def child_rng(seed, purpose: str) -> random.Random:
@@ -55,4 +54,8 @@ def child_rng(seed, purpose: str) -> random.Random:
     Exactly ``random.Random(f"{seed}:{purpose}")`` — deterministic
     across processes and independent of every other purpose's stream.
     """
-    return _make(f"{seed}:{purpose}", purpose)
+    seed_value = f"{seed}:{purpose}"
+    if sanitizer.enabled():
+        sanitizer.check_stream_site(purpose, sys._getframe(1))
+        return sanitizer.TrackedRandom(seed_value, purpose)
+    return random.Random(seed_value)

@@ -16,13 +16,19 @@ streams consumed different draw counts.  It backs ``--sanitize``:
   other stream inside the region is recorded as a **cross-stream
   draw** violation (the bug class where one stream's consumption
   silently shifts another's sequence).
+* :func:`check_stream_site` — audits every ``child_rng`` construction
+  against :data:`STREAM_REGISTRY` / :data:`PREFIX_REGISTRY`: an
+  unregistered purpose, or a purpose family built at more source lines
+  than the registry allows (two subsystems aliased onto one sequence),
+  is a **stream-purpose** violation.
 * :func:`drain_draws` / :func:`compare_draws` — per-stream draw
   counts, shipped back from worker processes on
   ``RunResult.rng_draws`` and merged in seed order, so a serial run
   and a ``--jobs N`` run can be diffed stream by stream
   (**draw-count divergence**).  Draws a pool task leaves undrained,
-  and its violations, ship back through :func:`drain_worker_state` /
-  :func:`merge_worker_state` (:mod:`repro.util.fanout` calls them).
+  its violations and the stream sites it saw ship back through
+  :func:`drain_worker_state` / :func:`merge_worker_state`
+  (:mod:`repro.util.fanout` calls them).
 
 Arming: ``repro-bench ... --sanitize`` enters :func:`sanitizing`,
 which also exports ``REPRO_SANITIZE=1`` so pool worker processes arm
@@ -35,6 +41,7 @@ from __future__ import annotations
 import os
 import random
 from contextlib import contextmanager, nullcontext
+from pathlib import PurePath
 
 ENV_VAR = "REPRO_SANITIZE"
 MAX_VIOLATIONS = 200
@@ -44,6 +51,7 @@ _scopes: list[tuple[str, ...]] = []
 _draws: dict[str, int] = {}
 _violations: list[tuple[tuple, str]] = []  # (dedupe key, message)
 _violation_keys: set[tuple] = set()
+_sites: dict[str, set[tuple[str, int]]] = {}  # purpose family -> (file, line)
 
 
 def enabled() -> bool:
@@ -62,11 +70,12 @@ def disarm() -> None:
 
 
 def reset() -> None:
-    """Clear draw counts, violations, and any leaked scopes."""
+    """Clear draw counts, violations, stream sites and any leaked scopes."""
     _draws.clear()
     _violations.clear()
     _violation_keys.clear()
     _scopes.clear()
+    _sites.clear()
 
 
 @contextmanager
@@ -183,6 +192,99 @@ def scope(*purposes: str):
     return _Scope(purposes)
 
 
+# -- stream registry ---------------------------------------------------------
+#
+# ``child_rng(seed, purpose)`` seeds its stream with f"{seed}:{purpose}",
+# so one purpose built in two subsystems aliases both onto one sequence,
+# and renaming a purpose changes every pinned digest built from it.  The
+# aliasing is deterministic and each site draws inside its own matching
+# scope, so neither the parity harness nor the scope check sees it; the
+# registry below does.  **Do not rename existing purposes** — register
+# the new site instead.
+
+# Literal purpose -> number of construction sites (source lines) allowed.
+STREAM_REGISTRY: dict[str, int] = {
+    "2pc-client": 1,   # sharded cluster client-side 2PC jitter
+    "client": 1,       # replication group client jitter
+    "image": 2,        # crash-image tear: chaos harness + sharded cluster
+    "net": 1,          # chaos harness network-fault placement
+    "stall": 1,        # chaos harness prepare-stall placement
+}
+
+# f-string purposes, keyed by their text through the first ":".
+PREFIX_REGISTRY: dict[str, int] = {
+    "chaos-load:": 1,    # per-(point, kind) fault-window placement
+    "load-arrival:": 1,  # per-(point, stream) open-loop arrivals
+    "load-cluster:": 1,  # per-point cluster workload stream
+    "load-image:": 1,    # per-point crash-image tear under load
+    "load-retry:": 1,    # per-point retry backoff jitter
+}
+
+# (file, function) allowed any purpose: the fault injector's per-kind
+# streams, whose kind names are themselves a checked registry.
+DYNAMIC_SITES = frozenset({("repro/faults/injector.py", "stream")})
+
+
+def is_sim_path(path) -> bool:
+    """Simulation code, unless it looks like a test: ``test_*.py``,
+    ``conftest.py``, or anything under a ``tests``/``benchmarks``
+    directory.  ``repro-lint`` and the stream check share this rule, so
+    tests may build streams with ad-hoc purposes."""
+    path = PurePath(path)
+    if path.name.startswith("test_") or path.name == "conftest.py":
+        return False
+    return not (set(path.parts) & {"tests", "benchmarks"})
+
+
+def _stream_family(purpose: str) -> str | None:
+    """The registry key *purpose* belongs to, or None if unregistered."""
+    if purpose in STREAM_REGISTRY:
+        return purpose
+    head, colon, _ = purpose.partition(":")
+    return head + colon if colon and head + colon in PREFIX_REGISTRY else None
+
+
+def check_stream_site(purpose: str, frame) -> None:
+    """Audit one ``child_rng(seed, purpose)`` call made from *frame*.
+
+    Called only while armed.  A site is the caller's (file, line); a
+    violation is an unregistered purpose, or a family built at more
+    sites than the registry allows.
+    """
+    code = frame.f_code
+    path = code.co_filename
+    if not is_sim_path(path):
+        return
+    posix = PurePath(path).as_posix()
+    if any(posix.endswith(f) and code.co_name == fn for f, fn in DYNAMIC_SITES):
+        return
+    site = (path, frame.f_lineno)
+    family = _stream_family(purpose)
+    if family is None:
+        _record(
+            ("stream-purpose",) + site,
+            f"stream-purpose: {purpose!r} at {path}:{site[1]} is not in "
+            f"repro.util.sanitizer.STREAM_REGISTRY or PREFIX_REGISTRY",
+        )
+    else:
+        _note_site(family, site)
+
+
+def _note_site(family: str, site: tuple[str, int]) -> None:
+    sites = _sites.setdefault(family, set())
+    if site in sites:
+        return
+    sites.add(site)
+    allowed = STREAM_REGISTRY.get(family) or PREFIX_REGISTRY[family]
+    if len(sites) > allowed:
+        _record(
+            ("stream-sites", family) + site,
+            f"stream-purpose: {family!r} built at {len(sites)} sites, "
+            f"registry allows {allowed} (now {site[0]}:{site[1]}) — "
+            f"duplicate purposes alias RNG streams",
+        )
+
+
 # -- draw-count reports ------------------------------------------------------
 
 
@@ -198,20 +300,25 @@ def drain_draws() -> dict[str, int]:
     return snap
 
 
-def drain_worker_state() -> tuple[dict[str, int], list[tuple[tuple, str]]]:
-    """Snapshot-and-clear draws and violations: a pool task's share."""
+def drain_worker_state() -> tuple:
+    """Snapshot-and-clear draws, violations and stream sites: a pool
+    task's share."""
     violations_ = list(_violations)
     _violations.clear()
     _violation_keys.clear()
-    return drain_draws(), violations_
+    sites = sorted((family, *site) for family, s in _sites.items() for site in s)
+    _sites.clear()
+    return drain_draws(), violations_, sites
 
 
-def merge_worker_state(state: tuple[dict[str, int], list[tuple[tuple, str]]]) -> None:
+def merge_worker_state(state: tuple) -> None:
     """Fold a worker's drained share in as if it had happened here."""
-    draws, violations_ = state
+    draws, violations_, sites = state
     merge_draws(_draws, draws)
     for key, message in violations_:
         _record(key, message)
+    for family, path, line in sites:
+        _note_site(family, (path, line))
 
 
 def merge_draws(into: dict[str, int], more: dict[str, int]) -> dict[str, int]:

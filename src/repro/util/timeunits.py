@@ -3,9 +3,10 @@
 The simulation prices work in integer virtual nanoseconds, fabric
 ticks (:data:`TICK_NS` each), and replayed CPU cycles.  Every
 cross-unit conversion goes through a helper here — the ``a_to_b``
-names are the declaration the :mod:`repro.lint.units` pass checks, so
-``ms_to_ns(res.timeout_ms)`` typechecks dimensionally while
-``res.timeout_ms * 1_000_000`` flags.
+names are the declaration ``repro-lint``'s ``unit-mismatch`` file rule
+checks, so ``ms_to_ns(res.timeout_ms)`` typechecks dimensionally while
+``res.timeout_ms * 1_000_000`` flags.  This module is exempt from the
+rule: its bodies are the cross-unit arithmetic.
 
 The helpers are deliberately expression-identical to the inline
 arithmetic they replaced (``int(us * 1000)``, ``ns / 1000.0``): pinned

@@ -5,8 +5,8 @@ workload characterization studies demonstrate that TPC-E exhibits
 similar micro-architectural behavior to the TPC-B and TPC-C benchmarks
 [6, 29]."  That similarity claim is checkable here, so this module
 implements a compact TPC-E-flavoured workload — the brokerage schema's
-core tables and a read-heavy transaction mix — and the extension bench
-(`benchmarks/test_bench_extension_tpce.py`) verifies the Tözün et al.
+core tables and a read-heavy transaction mix — and an extension test
+(`tests/test_ablations.py`) verifies the Tözün et al.
 finding on the simulated hardware.
 
 Scope: the four highest-traffic transactions (TradeOrder, TradeResult,

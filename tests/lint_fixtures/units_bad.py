@@ -1,7 +1,7 @@
 """Bad: cross-unit time arithmetic without explicit conversions.
 
 Every function mixes the virtual timeline's currencies (ns, ticks, ms)
-with no conversion helper or factor in sight — the units pass must
+with no conversion helper or factor in sight — the unit-mismatch rule must
 flag each one.
 """
 
