@@ -5,9 +5,11 @@ shifted right by ``log2(line_bytes)``); the engines and layout models
 produce line-granular streams directly, which keeps the hot simulation
 loop cheap.
 
-Each set is an insertion-ordered dict mapping ``tag -> dirty`` — Python
+Each set is an insertion-ordered dict mapping ``tag -> None`` — Python
 dicts preserve insertion order, so the first key is the LRU victim and a
-pop/re-insert implements a move-to-MRU.
+pop/re-insert implements a move-to-MRU.  No dirty state is kept: no
+counter, writeback or figure reads it, so a store touches a line
+exactly as a load does.  ``s.pop(tag, 0) is None`` is the hit test.
 """
 
 from __future__ import annotations
@@ -56,58 +58,57 @@ class SetAssociativeCache:
         self.n_sets = spec.n_sets
         self.assoc = spec.associativity
         self.stats = CacheStats()
-        # set index -> {tag: dirty}; dict order is LRU order (first = LRU)
-        self._sets: list[dict[int, bool]] = [{} for _ in range(self.n_sets)]
+        # set index -> {tag: None}; dict order is LRU order (first = LRU)
+        self._sets: list[dict[int, None]] = [{} for _ in range(self.n_sets)]
 
-    def lookup(self, line_addr: int, *, write: bool = False) -> bool:
+    def lookup(self, line_addr: int) -> bool:
         """Access *line_addr*; return True on hit.
 
         A hit refreshes LRU order; a miss allocates the line (evicting
-        the LRU entry if the set is full).  Writes mark the line dirty.
+        the LRU entry if the set is full).  Loads and stores take the
+        same path: no dirty state is kept.
         """
         st = self.stats
         st.accesses += 1
         s = self._sets[line_addr % self.n_sets]
-        dirty = s.pop(line_addr, None)
-        if dirty is not None:
-            s[line_addr] = dirty or write
+        if s.pop(line_addr, 0) is None:
+            s[line_addr] = None
             st.hits += 1
             return True
         st.misses += 1
         if len(s) >= self.assoc:
             s.pop(next(iter(s)))
             st.evictions += 1
-        s[line_addr] = write
+        s[line_addr] = None
         return False
 
     def contains(self, line_addr: int) -> bool:
         """True if the line is resident (does not touch LRU order or stats)."""
         return line_addr in self._sets[line_addr % self.n_sets]
 
-    def fill(self, line_addr: int, *, dirty: bool = False) -> None:
+    def fill(self, line_addr: int) -> None:
         """Install a line without counting an access (inclusive fills).
 
         A fill of a resident line refreshes its LRU recency, same as a
         hit — the line was touched either way.
         """
         s = self._sets[line_addr % self.n_sets]
-        prev = s.pop(line_addr, None)
-        if prev is not None:
-            s[line_addr] = prev or dirty
+        if s.pop(line_addr, 0) is None:
+            s[line_addr] = None
             return
         if len(s) >= self.assoc:
             s.pop(next(iter(s)))
             self.stats.evictions += 1
-        s[line_addr] = dirty
+        s[line_addr] = None
 
     def fill_regions(self, regions: list[tuple[int, int, int]]) -> None:
         """Fill every line of each ``(base, count, step)`` region, in order.
 
         Exactly ``fill(base + i * step)`` for each region in turn and
-        ``i`` in ``range(count)``: the same set contents, LRU order,
-        dirty flags and :class:`CacheStats`.  The set-dict probes are
-        inlined and evictions counted once, as in
-        :meth:`~repro.core.hierarchy.MemoryHierarchy.access_instr_run`.
+        ``i`` in ``range(count)``: the same set contents, LRU order and
+        :class:`CacheStats`.  The set-dict probes are inlined and
+        evictions counted once, as in the replay loop of
+        :meth:`~repro.core.machine.Machine.run_trace`.
 
         From an empty cache with pairwise-disjoint region spans every
         fill installs a new line, so each set ends holding the last
@@ -128,20 +129,19 @@ class SetAssociativeCache:
                 evictions += first
             for line in range(base + first * step, base + count * step, step):
                 s = sets[line % n_sets]
-                prev = s.pop(line, None)
-                if prev is not None:
-                    s[line] = prev
+                if s.pop(line, 0) is None:
+                    s[line] = None
                     continue
                 if len(s) >= assoc:
                     del s[next(iter(s))]
                     evictions += 1
-                s[line] = False
+                s[line] = None
         self.stats.evictions += evictions
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (coherence); return True if it was present."""
         s = self._sets[line_addr % self.n_sets]
-        if s.pop(line_addr, None) is not None:
+        if s.pop(line_addr, 0) is None:
             self.stats.invalidations += 1
             return True
         return False

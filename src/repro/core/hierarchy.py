@@ -1,19 +1,22 @@
 """Multi-core cache hierarchy: private L1I/L1D/L2 per core, shared LLC.
 
 The geometry and penalties come from a :class:`~repro.core.spec.ServerSpec`.
-``access_instr`` / ``access_data`` return the level that served the
-access as one of the :data:`L1`/:data:`L2`/:data:`LLC`/:data:`MEMORY`
-constants, which the :class:`~repro.core.machine.Machine` turns into
-miss counters and stall cycles.
+``access_instr`` / ``access_data`` are the per-access reference paths:
+each returns the level that served one access as one of the
+:data:`L1`/:data:`L2`/:data:`LLC`/:data:`MEMORY` constants, after the
+textbook lookup cascade and inclusive fills.  Trace replay does not
+call them: :meth:`~repro.core.machine.Machine.run_trace` probes the
+same set dicts inline, and the tests hold it to these paths.
 
 Coherence is modelled MESI-lite, and only when more than one core is
-instantiated: a store invalidates the line in other cores' private
-caches, and a load of a line another core has modified is flagged as a
-coherence transfer (served at LLC latency, counted separately).  The
-LLC is modelled non-inclusive: evicting an LLC line does not
-back-invalidate the private caches — a simplification that does not
-affect the paper's metrics because the working sets that thrash the
-LLC dwarf the private caches.
+instantiated (:meth:`MemoryHierarchy.snoop`, the one coherence path
+both replay and ``access_data`` call): a store invalidates the line in
+other cores' private caches, and a load of a line another core has
+modified is flagged as a coherence transfer (served at LLC latency,
+counted separately).  The LLC is modelled non-inclusive: evicting an
+LLC line does not back-invalidate the private caches — a
+simplification that does not affect the paper's metrics because the
+working sets that thrash the LLC dwarf the private caches.
 """
 
 from __future__ import annotations
@@ -84,77 +87,6 @@ class MemoryHierarchy:
         core.l1i.fill(line)
         return MEMORY
 
-    def access_instr_run(self, core_id: int, start: int, n_lines: int) -> tuple[int, int, int]:
-        """Fetch *n_lines* consecutive instruction lines; return miss tallies.
-
-        Semantically identical to calling :meth:`access_instr` once per
-        line — same LRU state evolution and the same final
-        :class:`~repro.core.cache.CacheStats` — but the set-dict probes
-        are inlined and stats batched per run instead of per line (the
-        replay-loop fast path).  Two exact equivalences make the
-        inlining safe: ``lookup`` allocates on miss, so the ``fill``
-        calls of the per-line path always find the line present and are
-        no-ops; and instruction lines are never dirty, so re-inserting
-        the popped LRU value is the whole hit path.
-        Returns ``(l1i_misses, l2i_misses, llci_misses)``.
-        """
-        core = self.cores[core_id]
-        l1i = core.l1i
-        l2 = core.l2
-        llc = self.llc
-        l1_sets, n1, a1 = l1i._sets, l1i.n_sets, l1i.assoc
-        l2_sets, n2, a2 = l2._sets, l2.n_sets, l2.assoc
-        l3_sets, n3, a3 = llc._sets, llc.n_sets, llc.assoc
-        l1m = l2m = llcm = 0
-        e1 = e2 = e3 = 0
-        for line in range(start, start + n_lines):
-            s = l1_sets[line % n1]
-            d = s.pop(line, None)
-            if d is not None:
-                s[line] = d
-                continue
-            l1m += 1
-            if len(s) >= a1:
-                s.pop(next(iter(s)))
-                e1 += 1
-            s[line] = False
-            s = l2_sets[line % n2]
-            d = s.pop(line, None)
-            if d is not None:
-                s[line] = d
-                continue
-            l2m += 1
-            if len(s) >= a2:
-                s.pop(next(iter(s)))
-                e2 += 1
-            s[line] = False
-            s = l3_sets[line % n3]
-            d = s.pop(line, None)
-            if d is not None:
-                s[line] = d
-                continue
-            llcm += 1
-            if len(s) >= a3:
-                s.pop(next(iter(s)))
-                e3 += 1
-            s[line] = False
-        st = l1i.stats
-        st.accesses += n_lines
-        st.hits += n_lines - l1m
-        st.misses += l1m
-        st.evictions += e1
-        st = l2.stats
-        st.accesses += l1m
-        st.hits += l1m - l2m
-        st.misses += l2m
-        st.evictions += e2
-        st = llc.stats
-        st.accesses += l2m
-        st.hits += l2m - llcm
-        st.misses += llcm
-        st.evictions += e3
-        return l1m, l2m, llcm
-
     def access_data(self, core_id: int, line: int, write: bool) -> tuple[int, bool]:
         """Data access of *line*; returns (serving level, coherence flag).
 
@@ -163,46 +95,54 @@ class MemoryHierarchy:
         """
         core = self.cores[core_id]
         self.tlbs[core_id].translate(line)
-        coherent = self._coherent
-        transfer = False
-        if coherent:
-            owner = self._modified_by.get(line)
-            if owner is not None and owner != core_id:
-                # Remote core holds the line modified: snoop it out.
-                remote = self.cores[owner]
-                remote.l1d.invalidate(line)
-                remote.l2.invalidate(line)
-                del self._modified_by[line]
-                self.coherence_transfers += 1
-                transfer = True
-                # Writeback lands in the LLC; the local lookup below misses
-                # the private levels and is served from there.
-                self.llc.fill(line, dirty=True)
-                core.l1d.invalidate(line)
-                core.l2.invalidate(line)
-
-        if core.l1d.lookup(line, write=write):
-            level = L1
-        elif core.l2.lookup(line, write=write):
-            core.l1d.fill(line, dirty=write)
-            level = L2
-        elif self.llc.lookup(line, write=write):
+        transfer = self._coherent and self.snoop(core_id, line, write)
+        if core.l1d.lookup(line):
+            return L1, transfer
+        if core.l2.lookup(line):
+            core.l1d.fill(line)
+            return L2, transfer
+        if self.llc.lookup(line):
             core.l2.fill(line)
-            core.l1d.fill(line, dirty=write)
-            level = LLC
-        else:
-            core.l2.fill(line)
-            core.l1d.fill(line, dirty=write)
-            level = MEMORY
+            core.l1d.fill(line)
+            return LLC, transfer
+        core.l2.fill(line)
+        core.l1d.fill(line)
+        return MEMORY, transfer
 
-        if coherent and write:
-            # Invalidate every other core's copy (write-invalidate protocol).
-            for cid, other in enumerate(self.cores):
+    def snoop(self, core_id: int, line: int, write: bool) -> bool:
+        """Coherence actions for *core_id* touching *line*, before its lookup.
+
+        If another core holds the line modified, its private copies are
+        snooped out, the writeback lands in the LLC and *core_id*'s own
+        private copies are dropped, so the lookup that follows is served
+        from the LLC; returns True for that transfer.  A write then
+        invalidates every other core's private copies and records
+        *core_id* as the owner.  That write-invalidate touches only
+        other cores' private caches, which the local lookup never
+        reads, so running it before the lookup instead of after is
+        exact.  Called only when more than one core is instantiated.
+        """
+        cores = self.cores
+        modified_by = self._modified_by
+        owner = modified_by.get(line)
+        transfer = owner is not None and owner != core_id
+        if transfer:
+            remote = cores[owner]
+            remote.l1d.invalidate(line)
+            remote.l2.invalidate(line)
+            del modified_by[line]
+            self.coherence_transfers += 1
+            self.llc.fill(line)
+            core = cores[core_id]
+            core.l1d.invalidate(line)
+            core.l2.invalidate(line)
+        if write:
+            for cid, other in enumerate(cores):
                 if cid != core_id:
                     other.l1d.invalidate(line)
                     other.l2.invalidate(line)
-            self._modified_by[line] = core_id
-        return level, transfer
+            modified_by[line] = core_id
+        return transfer
 
     # -- maintenance -------------------------------------------------------
 

@@ -8,7 +8,10 @@ producing an :class:`~repro.core.trace.AccessTrace`, and hand it to
 the replay reaches the same steady state a long profiled run would.
 
 The replay loop is the hot path of the whole reproduction — it is
-written with local-variable bindings and minimal indirection on purpose.
+written with local-variable bindings and minimal indirection on purpose:
+:meth:`Machine.run_trace` probes the cache and dTLB set dicts inline
+rather than calling the hierarchy once per access, and the tests check
+it against those per-access paths.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from repro import obs
 from repro.core.counters import PerfCounters
 from repro.core.cpu import DEFAULT_OVERLAP, CycleModel, OverlapModel
-from repro.core.hierarchy import L1, L2, MEMORY, MemoryHierarchy
+from repro.core.hierarchy import MemoryHierarchy
 from repro.core.spec import IVY_BRIDGE, ServerSpec
 from repro.core.trace import AccessTrace, DLOAD_SERIAL, DSTORE, IFETCH, IFETCH_RUN
 
@@ -78,6 +81,17 @@ class Machine:
         represents: 0 for an attempt that did not commit (its events
         still hit the caches — wasted work is real work — but it must
         not inflate per-transaction metrics).
+
+        This is the replay kernel: one loop that probes the core's
+        L1I/L1D/L2 set dicts, the LLC's and the core's two dTLB arrays
+        inline, and adds the :class:`~repro.core.cache.CacheStats` and
+        TLB tallies once per trace.  It evolves exactly the state that
+        :meth:`~repro.core.hierarchy.MemoryHierarchy.access_instr` and
+        ``access_data`` would, called once per line: every lookup
+        allocates on a miss, so their inclusive fills always find the
+        line resident and most-recently-used and are no-ops.  Coherence
+        goes through :meth:`~repro.core.hierarchy.MemoryHierarchy.snoop`
+        when the machine has more than one core.
         """
         # Observability fast path: one null-check here, one complete()
         # below — no context-manager frame in the replay loop.
@@ -85,15 +99,24 @@ class Machine:
         _t0 = _tracer.clock() if _tracer is not None else 0
 
         hierarchy = self.hierarchy
-        access_instr = hierarchy.access_instr
-        access_instr_run = hierarchy.access_instr_run
-        access_data = hierarchy.access_data
+        core = hierarchy.cores[core_id]
+        l1i, l1d, l2, llc = core.l1i, core.l1d, core.l2, hierarchy.llc
+        i1_sets, i1_n, i1_a = l1i._sets, l1i.n_sets, l1i.assoc
+        d1_sets, d1_n, d1_a = l1d._sets, l1d.n_sets, l1d.assoc
+        l2_sets, l2_n, l2_a = l2._sets, l2.n_sets, l2.assoc
+        l3_sets, l3_n, l3_a = llc._sets, llc.n_sets, llc.assoc
+        tlb = hierarchy.tlbs[core_id]
+        t1_sets, t1_n, t1_a = tlb._l1._sets, tlb._l1.n_sets, tlb._l1.assoc
+        t2_sets, t2_n, t2_a = tlb._stlb._sets, tlb._stlb.n_sets, tlb._stlb.assoc
+        page_shift = tlb._page_shift
+        snoop = hierarchy.snoop if hierarchy.n_cores > 1 else None
         module_stats = self.module_stats
 
         if_l1m = if_l2m = if_llcm = 0
         d_l1m = d_l2m = d_llcm = d_serial_llcm = 0
         n_if = n_loads = n_stores = n_coher = 0
-        walks_before = hierarchy.tlbs[core_id].walks
+        tlb_l1m = walks = 0
+        e_i1 = e_d1 = e_l2 = e_l3 = 0
 
         # Module-row lookup hoisted behind a last-module cache: traces
         # are long single-module spans, so most events reuse `row`.
@@ -106,53 +129,129 @@ class Machine:
                     row = [0] * _MODULE_FIELDS
                     module_stats[mod] = row
                 last_mod = mod
-            if kind == IFETCH_RUN:
-                start, n_lines = addr
-                l1m, l2m, llcm = access_instr_run(core_id, start, n_lines)
+            if kind == IFETCH_RUN or kind == IFETCH:
+                # An IFETCH is a run of one line.
+                if kind == IFETCH:
+                    start, n_lines = addr, 1
+                else:
+                    start, n_lines = addr
+                l1m = l2m = llcm = 0
+                for line in range(start, start + n_lines):
+                    s = i1_sets[line % i1_n]
+                    if s.pop(line, 0) is None:
+                        s[line] = None
+                        continue
+                    l1m += 1
+                    if len(s) >= i1_a:
+                        del s[next(iter(s))]
+                        e_i1 += 1
+                    s[line] = None
+                    s = l2_sets[line % l2_n]
+                    if s.pop(line, 0) is None:
+                        s[line] = None
+                        continue
+                    l2m += 1
+                    if len(s) >= l2_a:
+                        del s[next(iter(s))]
+                        e_l2 += 1
+                    s[line] = None
+                    s = l3_sets[line % l3_n]
+                    if s.pop(line, 0) is None:
+                        s[line] = None
+                        continue
+                    llcm += 1
+                    if len(s) >= l3_a:
+                        del s[next(iter(s))]
+                        e_l3 += 1
+                    s[line] = None
                 n_if += n_lines
                 row[M_IFETCHES] += n_lines
-                if_l1m += l1m
-                row[M_IF_L1M] += l1m
-                if_l2m += l2m
-                row[M_IF_L2M] += l2m
-                if_llcm += llcm
-                row[M_IF_LLCM] += llcm
-            elif kind == IFETCH:
-                n_if += 1
-                row[M_IFETCHES] += 1
-                level = access_instr(core_id, addr)
-                if level != L1:
-                    if_l1m += 1
-                    row[M_IF_L1M] += 1
-                    if level != L2:
-                        if_l2m += 1
-                        row[M_IF_L2M] += 1
-                        if level == MEMORY:
-                            if_llcm += 1
-                            row[M_IF_LLCM] += 1
+                if l1m:
+                    if_l1m += l1m
+                    row[M_IF_L1M] += l1m
+                    if_l2m += l2m
+                    row[M_IF_L2M] += l2m
+                    if_llcm += llcm
+                    row[M_IF_LLCM] += llcm
+                continue
+
+            # A load or a store: dTLB translation, coherence, then the
+            # L1D -> L2 -> LLC cascade.
+            write = kind == DSTORE
+            if write:
+                n_stores += 1
             else:
-                write = kind == DSTORE
-                if write:
-                    n_stores += 1
+                n_loads += 1
+            row[M_DACCESSES] += 1
+            page = addr >> page_shift
+            s = t1_sets[page % t1_n]
+            if s.pop(page, 0) is None:
+                s[page] = None
+            else:
+                tlb_l1m += 1
+                if len(s) >= t1_a:
+                    del s[next(iter(s))]
+                s[page] = None
+                s = t2_sets[page % t2_n]
+                if s.pop(page, 0) is None:
+                    s[page] = None
                 else:
-                    n_loads += 1
-                row[M_DACCESSES] += 1
-                level, transfer = access_data(core_id, addr, write)
-                if transfer:
-                    n_coher += 1
-                    row[M_COHER] += 1
-                if level != L1:
-                    d_l1m += 1
-                    row[M_D_L1M] += 1
-                    if level != L2:
-                        d_l2m += 1
-                        row[M_D_L2M] += 1
-                        if level == MEMORY:
-                            d_llcm += 1
-                            row[M_D_LLCM] += 1
-                            if kind == DLOAD_SERIAL:
-                                d_serial_llcm += 1
-                                row[M_D_SERIAL_LLCM] += 1
+                    walks += 1
+                    if len(s) >= t2_a:
+                        del s[next(iter(s))]
+                    s[page] = None
+            if snoop is not None and snoop(core_id, addr, write):
+                n_coher += 1
+                row[M_COHER] += 1
+            s = d1_sets[addr % d1_n]
+            if s.pop(addr, 0) is None:
+                s[addr] = None
+                continue
+            d_l1m += 1
+            row[M_D_L1M] += 1
+            if len(s) >= d1_a:
+                del s[next(iter(s))]
+                e_d1 += 1
+            s[addr] = None
+            s = l2_sets[addr % l2_n]
+            if s.pop(addr, 0) is None:
+                s[addr] = None
+                continue
+            d_l2m += 1
+            row[M_D_L2M] += 1
+            if len(s) >= l2_a:
+                del s[next(iter(s))]
+                e_l2 += 1
+            s[addr] = None
+            s = l3_sets[addr % l3_n]
+            if s.pop(addr, 0) is None:
+                s[addr] = None
+                continue
+            d_llcm += 1
+            row[M_D_LLCM] += 1
+            if len(s) >= l3_a:
+                del s[next(iter(s))]
+                e_l3 += 1
+            s[addr] = None
+            if kind == DLOAD_SERIAL:
+                d_serial_llcm += 1
+                row[M_D_SERIAL_LLCM] += 1
+
+        n_data = n_loads + n_stores
+        for cache, accesses, misses, evictions in (
+            (l1i, n_if, if_l1m, e_i1),
+            (l1d, n_data, d_l1m, e_d1),
+            (l2, if_l1m + d_l1m, if_l2m + d_l2m, e_l2),
+            (llc, if_l2m + d_l2m, if_llcm + d_llcm, e_l3),
+        ):
+            st = cache.stats
+            st.accesses += accesses
+            st.hits += accesses - misses
+            st.misses += misses
+            st.evictions += evictions
+        tlb.accesses += n_data
+        tlb.l1_misses += tlb_l1m
+        tlb.walks += walks
 
         delta = PerfCounters(
             instructions=trace.instructions,
@@ -170,7 +269,7 @@ class Machine:
             llcd_misses=d_llcm,
             llcd_serial_misses=d_serial_llcm,
             coherence_misses=n_coher,
-            dtlb_walks=hierarchy.tlbs[core_id].walks - walks_before,
+            dtlb_walks=walks,
         )
         delta.cycles = self.cycle_model.cycles(delta, trace.base_cycles)
         for mod, instrs in trace.instr_by_module.items():

@@ -12,8 +12,8 @@ Event kinds are small ints so the hot loop stays cheap:
 * ``IFETCH`` — instruction-line fetch,
 * ``IFETCH_RUN`` — a run of consecutive instruction-line fetches kept
   as one batched event (``addrs`` holds ``(start_line, n_lines)``);
-  the machine replays it through one ranged hierarchy call instead of
-  *n_lines* per-event dispatches — the replay-loop fast path,
+  the machine's replay loop probes the whole run in one inner loop
+  instead of dispatching *n_lines* events — the replay fast path,
 * ``DLOAD`` — data load whose latency the out-of-order core can overlap
   with other work (independent load),
 * ``DLOAD_SERIAL`` — data load on a dependence chain (pointer chasing
@@ -77,7 +77,7 @@ class AccessTrace:
         """Fetch *n_lines* consecutive instruction lines starting at *start_line*.
 
         Recorded as one batched event; the machine replays the whole run
-        through a single ranged hierarchy call.
+        in one inner loop.
         """
         if n_lines <= 1:
             if n_lines == 1:

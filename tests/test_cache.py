@@ -76,9 +76,11 @@ class TestLRU:
 
 class TestWritesAndInvalidation:
     def test_write_marks_dirty_and_hits(self):
+        # Stores and loads share one lookup; a line carries no dirty state.
         c = small_cache()
-        c.lookup(7, write=True)
+        c.lookup(7)
         assert c.lookup(7)
+        assert c._sets[7 % c.n_sets] == {7: None}
 
     def test_invalidate_present(self):
         c = small_cache()

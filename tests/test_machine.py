@@ -1,10 +1,18 @@
 """Machine replay tests: miss counting, cycles, module attribution."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench.figures.common import TPC_DB_BYTES, cell_spec, engine_config_for
+from repro.bench.parallel import workload_spec
+from repro.bench.runner import measure_window
 from repro.core.machine import Machine
+from repro.core.tlb import TLBSpec
 from repro.core.trace import AccessTrace
 from tests.conftest import TINY_SERVER
+from tests.reference_replay import copy_trace, machine_state, reference_run_trace
 
 
 def make_trace(*, ifetch_lines=(), loads=(), serial_loads=(), stores=(), instr=0, mod=0):
@@ -136,10 +144,6 @@ class TestBatchedIfetchRuns:
     """The IFETCH_RUN fast path must be bit-identical to per-line replay."""
 
     def test_batched_run_matches_expanded_ifetches(self):
-        import random
-
-        from repro.core.machine import Machine as FullMachine
-
         rng = random.Random(7)
         batched, expanded = AccessTrace(), AccessTrace()
         for i in range(20):
@@ -158,15 +162,119 @@ class TestBatchedIfetchRuns:
             t.retire(0, 1000, branches=10, mispredicts=2, base_cycles=400)
         assert len(batched) == len(expanded)
 
-        m1, m2 = FullMachine(n_cores=2), FullMachine(n_cores=2)
-        d1 = m1.run_trace(batched, core_id=1)
-        d2 = m2.run_trace(expanded, core_id=1)
+        fused, reference = Machine(n_cores=2), Machine(n_cores=2)
+        d1 = fused.run_trace(batched, core_id=1)
+        d2 = reference_run_trace(reference, expanded, core_id=1)
         assert d1.as_dict() == d2.as_dict()
-        assert m1.module_stats == m2.module_stats
-        for c1, c2 in zip(m1.hierarchy.cores, m2.hierarchy.cores):
-            assert c1.l1i._sets == c2.l1i._sets
-            assert c1.l2._sets == c2.l2._sets
-        assert m1.hierarchy.llc._sets == m2.hierarchy.llc._sets
-        assert m1.hierarchy.cores[1].l1i.stats == m2.hierarchy.cores[1].l1i.stats
-        assert m1.hierarchy.cores[1].l2.stats == m2.hierarchy.cores[1].l2.stats
-        assert m1.hierarchy.llc.stats == m2.hierarchy.llc.stats
+        assert machine_state(fused) == machine_state(reference)
+
+
+# A dTLB small enough that a few hundred pages evict from both levels.
+TINY_DTLB = TLBSpec(
+    "tiny-dTLB", l1_entries=8, l1_associativity=2, stlb_entries=32, stlb_associativity=4
+)
+
+# Lines from a hot span that fits the tiny LLC, and from a wide one that
+# spans 512 pages, so every cache level and both dTLB levels evict.
+line_st = st.one_of(st.integers(0, 1_500), st.integers(0, 1 << 15))
+event_st = st.one_of(
+    st.tuples(st.just("ifetch_run"), line_st, st.integers(0, 40)),
+    st.tuples(st.sampled_from(["ifetch", "load", "load_serial", "store"]), line_st, st.just(0)),
+)
+trace_st = st.tuples(
+    st.integers(0, 2),  # core (taken modulo the machine's core count)
+    st.sampled_from([0, 1]),  # transactions
+    st.lists(st.tuples(event_st, st.integers(0, 3)), max_size=50),
+)
+
+
+def build_trace(events) -> AccessTrace:
+    t = AccessTrace()
+    for (kind, line, n), mod in events:
+        if kind == "ifetch_run":
+            t.ifetch_run(line, n, mod)
+        elif kind == "ifetch":
+            t.ifetch(line, mod)
+        elif kind == "store":
+            t.store(line, mod)
+        else:
+            t.load(line, mod, serial=kind == "load_serial")
+        t.retire(mod, 3, branches=1, base_cycles=1.5 if mod % 2 else None)
+    return t
+
+
+class TestFusedReplayMatchesReference:
+    """run_trace against one access_instr/access_data call per line."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_cores=st.sampled_from([1, 3]), traces=st.lists(trace_st, min_size=1, max_size=8))
+    def test_random_traces(self, n_cores, traces):
+        fused, reference = (
+            Machine(TINY_SERVER, n_cores=n_cores, tlb_spec=TINY_DTLB) for _ in range(2)
+        )
+        for core, transactions, events in traces:
+            trace = build_trace(events)
+            core %= n_cores
+            d1 = fused.run_trace(trace, core, transactions=transactions)
+            d2 = reference_run_trace(reference, trace, core, transactions=transactions)
+            assert d1.as_dict() == d2.as_dict()
+        assert machine_state(fused) == machine_state(reference)
+
+    def test_every_level_evicts_under_the_strategy_geometry(self):
+        # The strategy's address mix must reach every eviction path the
+        # fused loop inlines, or the property above proves little.
+        rng = random.Random(3)
+        machine = Machine(TINY_SERVER, n_cores=3, tlb_spec=TINY_DTLB)
+        for i in range(30):
+            events = [
+                (
+                    (rng.choice(["ifetch_run", "ifetch", "load", "load_serial", "store"]),
+                     rng.choice([rng.randrange(1_501), rng.randrange(1 << 15)]),
+                     rng.randrange(41)),
+                    rng.randrange(4),
+                )
+                for _ in range(50)
+            ]
+            machine.run_trace(build_trace(events), i % 3)
+        hierarchy = machine.hierarchy
+        caches = [hierarchy.llc] + [
+            c for core in hierarchy.cores for c in (core.l1i, core.l1d, core.l2)
+        ]
+        assert all(c.stats.evictions for c in caches)
+        tlb = hierarchy.tlbs[0]
+        assert tlb.walks and all(
+            len(s) == TINY_DTLB.stlb_associativity for s in tlb._stlb._sets
+        )
+        assert hierarchy.coherence_transfers
+
+
+class TestEngineTracesMatchReference:
+    """Real engine traces, replayed from the cell's primed machine."""
+
+    @pytest.mark.parametrize(
+        "system, kind, n_cores", [("hyper", "micro", 1), ("shore-mt", "tpcb", 4)]
+    )
+    def test_quick_cell(self, monkeypatch, system, kind, n_cores):
+        spec = cell_spec(
+            system, quick=True, engine_config=engine_config_for(system, kind), n_cores=n_cores
+        )
+        captured = []
+        run_trace = Machine.run_trace
+
+        def capture(machine, trace, core_id=0, *, transactions=1):
+            captured.append((copy_trace(trace), core_id, transactions))
+            return run_trace(machine, trace, core_id, transactions=transactions)
+
+        monkeypatch.setattr(Machine, "run_trace", capture)
+        engine, _, _ = measure_window(
+            spec, workload_spec(kind, db_bytes=TPC_DB_BYTES), spec.rep_seed(0)
+        )
+        monkeypatch.undo()
+        assert {core for _, core, _ in captured} == set(range(n_cores))
+
+        fused, reference = spec.machine(engine), spec.machine(engine)
+        for trace, core, transactions in captured:
+            d1 = fused.run_trace(trace, core, transactions=transactions)
+            d2 = reference_run_trace(reference, trace, core, transactions=transactions)
+            assert d1.as_dict() == d2.as_dict()
+        assert machine_state(fused) == machine_state(reference)

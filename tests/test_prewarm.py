@@ -5,7 +5,7 @@ from an empty cache with disjoint regions, skips the lines a region
 evicts itself.  The reference is the plain loop of ``fill`` calls the
 prewarm used to make (``fill`` itself is model-checked in
 ``test_cache_modelcheck.py``).  Equal means the same set contents, the
-same LRU order and dirty flags, and the same ``CacheStats``.
+same LRU order, and the same ``CacheStats``.
 """
 
 from dataclasses import asdict
@@ -29,16 +29,16 @@ def reference_fill(cache: SetAssociativeCache, regions) -> None:
 
 
 def state(cache: SetAssociativeCache):
-    """Set contents in LRU order with dirty flags, plus the counters."""
+    """Set contents in LRU order, plus the counters."""
     return [list(s.items()) for s in cache._sets], asdict(cache.stats)
 
 
-def twin_caches(n_sets: int, assoc: int, warm: list[tuple[int, bool]]):
+def twin_caches(n_sets: int, assoc: int, warm: list[int]):
     spec = CacheSpec("t", n_sets * assoc * 64, assoc, miss_penalty_cycles=8)
     caches = SetAssociativeCache(spec), SetAssociativeCache(spec)
     for cache in caches:
-        for line, dirty in warm:
-            cache.lookup(line, write=dirty)
+        for line in warm:
+            cache.lookup(line)
     return caches
 
 
@@ -51,9 +51,7 @@ region_st = st.tuples(
     st.integers(min_value=1, max_value=120),
     st.integers(min_value=1, max_value=12),
 )
-warm_st = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=400), st.booleans()), max_size=60
-)
+warm_st = st.lists(st.integers(min_value=0, max_value=400), max_size=60)
 
 
 @st.composite
@@ -83,7 +81,7 @@ def disjoint_regions(draw):
     warm=warm_st,
 )
 def test_matches_per_line_fill_on_any_start(regions, n_sets, assoc, warm):
-    # Overlapping regions and a warm, partly dirty cache: the inlined
+    # Overlapping regions and a warm cache: the inlined
     # loop runs without the skip and must still equal fill per line.
     fast, ref = twin_caches(n_sets, assoc, warm)
     fast.fill_regions(regions)
