@@ -28,11 +28,9 @@ import subprocess
 from pathlib import Path
 
 from repro.store import BENCH, DEFAULT_STORE_DIR, RunRecord, RunStore, bench_run
+from repro.store.compare import PERF_REGRESSION_TOLERANCE
 from repro.util.clock import perf_timer, timestamp
 from repro.util.rng import root_rng
-
-REGRESSION_TOLERANCE = 0.30
-"""Fail ``--check`` when events/sec drops by more than this fraction."""
 
 QUICK_SWEEP_FIGURES = ["fig13"]
 FULL_SWEEP_FIGURES = ["fig1", "fig9", "fig13"]
@@ -212,7 +210,7 @@ def run_perf(
     """Run the perf suite; returns (report text, ok).
 
     *ok* is False only when *check* is set and the fresh events/sec
-    regressed more than :data:`REGRESSION_TOLERANCE` below the best
+    regressed more than :data:`PERF_REGRESSION_TOLERANCE` below the best
     comparable prior ``bench`` run in the store (see :func:`comparable`).
     When *save* is set the record is written to the store as a new
     ``bench`` run.
@@ -227,13 +225,13 @@ def run_perf(
         lines.append(f"  store      : {run_id}")
     ok = True
     if check and baseline is not None:
-        floor = baseline * (1.0 - REGRESSION_TOLERANCE)
+        floor = baseline * (1.0 - PERF_REGRESSION_TOLERANCE)
         current = record["replay"]["events_per_sec"]
         if current < floor:
             ok = False
             lines.append(
                 f"  REGRESSION : {current:,.0f} events/sec is below the "
-                f"{1.0 - REGRESSION_TOLERANCE:.0%} floor of the best comparable "
+                f"{1.0 - PERF_REGRESSION_TOLERANCE:.0%} floor of the best comparable "
                 f"prior run ({floor:,.0f})"
             )
         else:

@@ -8,6 +8,7 @@ convention), and the Figure 7 engine-time percentages.
 from __future__ import annotations
 
 from repro.bench.results import FigureResult, IPC, PERCENT_ENGINE, STALLS_PER_KI
+from repro.core.cpu import CycleModel
 from repro.core.metrics import COMPONENT_LABELS, STALL_COMPONENTS
 from repro.core.spec import ServerSpec, table1_rows
 
@@ -95,7 +96,7 @@ def render_topdown(figure: FigureResult) -> str:
     for system in figure.systems:
         for x in figure.x_values:
             r = figure.result(system, x)
-            td = topdown(r.counters, r.server)
+            td = topdown(r.counters, CycleModel(r.server))
             cells = "".join(
                 f"{100.0 * v:>{col}.1f}"
                 for v in (

@@ -16,11 +16,16 @@ misses overlap with other work and with each other, so only a fraction
 of their latency shows up as elapsed time.  The defaults were calibrated
 so a miss-free loop retires at the paper's measured ideal of 3 IPC and
 the OLTP engines land in the paper's observed IPC bands.
+
+:meth:`CycleModel.stall_terms` is the only place a miss count becomes
+stall cycles; per-module attribution (``Machine.module_cycles``) and the
+top-down slots (``repro.obs.topdown``) read the same terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.counters import PerfCounters
 from repro.core.spec import IVY_BRIDGE, ServerSpec
@@ -70,6 +75,21 @@ counts collapse to the paper's sub-0.5 IPC on LLC-resident-free data.
 """
 
 
+PAGE_WALK_CYCLES = 140
+"""Cycles per simulated dTLB page walk, charged in ``tlb_mode="measured"``
+in place of :data:`SERIAL_MISS_EXTRA_CYCLES`."""
+
+
+class StallTerms(NamedTuple):
+    """The five overlap-adjusted stall terms of one counter block."""
+
+    frontend: float
+    data: float
+    coherence: float
+    branch: float
+    tlb: float
+
+
 class CycleModel:
     """Computes elapsed cycles for a block of retired work."""
 
@@ -81,7 +101,6 @@ class CycleModel:
         serial_miss_extra_cycles: int = SERIAL_MISS_EXTRA_CYCLES,
         frontend_refill_factor: float = FRONTEND_REFILL_FACTOR,
         tlb_mode: str = "constant",
-        page_walk_cycles: int = 140,
     ) -> None:
         if tlb_mode not in ("constant", "measured"):
             raise ValueError("tlb_mode must be 'constant' or 'measured'")
@@ -92,10 +111,14 @@ class CycleModel:
         # "constant": the calibrated per-serial-miss surcharge (default).
         # "measured": charge simulated dTLB page walks instead.
         self.tlb_mode = tlb_mode
-        self.page_walk_cycles = page_walk_cycles
 
-    def stall_cycles(self, delta: PerfCounters) -> float:
-        """Effective (overlap-adjusted) memory + branch stall cycles."""
+    def stall_terms(self, delta: PerfCounters) -> StallTerms:
+        """Overlap-adjusted stall cycles of *delta*, one term per source.
+
+        The only place a miss count becomes stall cycles: elapsed
+        cycles, per-module attribution and the top-down slots all read
+        these terms.
+        """
         spec = self.spec
         ov = self.overlap
         p1 = spec.l1i.miss_penalty_cycles
@@ -103,25 +126,30 @@ class CycleModel:
         p3 = spec.llc.miss_penalty_cycles
         # Hierarchical convention: an access that misses all the way charges
         # each level's penalty, so charging per-level misses is additive.
-        instr_stalls = (
+        frontend = (
             (delta.l1i_misses * p1 + delta.l2i_misses * p2 + delta.llci_misses * p3)
             * ov.instr
             * self.frontend_refill_factor
         )
         llcd_parallel = delta.llcd_misses - delta.llcd_serial_misses
-        data_stalls = (
+        data = (
             delta.l1d_misses * p1 * ov.l1d
             + delta.l2d_misses * p2 * ov.l2d
             + llcd_parallel * p3 * ov.llcd
             + delta.llcd_serial_misses * p3 * ov.llcd_serial
         )
-        coherence_stalls = delta.coherence_misses * p3 * ov.coherence
-        branch_stalls = delta.mispredicts * spec.branch_misprediction_penalty
+        coherence = delta.coherence_misses * p3 * ov.coherence
+        branch = delta.mispredicts * spec.branch_misprediction_penalty
         if self.tlb_mode == "measured":
-            tlb_stalls = delta.dtlb_walks * self.page_walk_cycles
+            tlb = delta.dtlb_walks * PAGE_WALK_CYCLES
         else:
-            tlb_stalls = delta.llcd_serial_misses * self.serial_miss_extra_cycles
-        return instr_stalls + data_stalls + coherence_stalls + branch_stalls + tlb_stalls
+            tlb = delta.llcd_serial_misses * self.serial_miss_extra_cycles
+        return StallTerms(frontend, data, coherence, branch, tlb)
+
+    def stall_cycles(self, delta: PerfCounters) -> float:
+        """Effective (overlap-adjusted) memory + branch stall cycles."""
+        frontend, data, coherence, branch, tlb = self.stall_terms(delta)
+        return frontend + data + coherence + branch + tlb
 
     def cycles(self, delta: PerfCounters, base_cycles: float | None = None) -> int:
         """Total elapsed cycles for the work described by *delta*.

@@ -36,7 +36,8 @@ M_COHER = 8
 M_IFETCHES = 9
 M_DACCESSES = 10
 M_BASE_CYCLES = 11  # float accumulator (no-miss cycles)
-_MODULE_FIELDS = 12
+M_DTLB_WALKS = 12
+_MODULE_FIELDS = 13
 
 
 class Machine:
@@ -197,6 +198,7 @@ class Machine:
                     s[page] = None
                 else:
                     walks += 1
+                    row[M_DTLB_WALKS] += 1
                     if len(s) >= t2_a:
                         del s[next(iter(s))]
                     s[page] = None
@@ -291,42 +293,34 @@ class Machine:
 
     # -- module attribution --------------------------------------------------
 
-    def module_cycles(self) -> dict[int, float]:
+    def module_cycles(self, rows: dict[int, list[int]] | None = None) -> dict[int, float]:
         """Elapsed cycles attributed to each module id.
 
-        Uses the same overlap-adjusted model as :class:`CycleModel`,
-        applied to each module's private miss tallies; branch stalls are
-        folded into the per-instruction base cost, which is a negligible
-        approximation for the module *percentage* breakdown (Figure 7).
+        Each row of *rows* (default :attr:`module_stats`) is priced by
+        :meth:`CycleModel.stall_terms`, the same terms that make a
+        trace's elapsed cycles, on top of its no-miss base cycles.  Rows
+        carry no mispredicts, so branch stalls stay unattributed: the
+        rows sum to the window's cycles less its branch stalls, up to
+        the per-trace rounding of :meth:`CycleModel.cycles`.
         """
-        spec = self.spec
-        ov = self.cycle_model.overlap
-        p1 = spec.l1i.miss_penalty_cycles
-        p2 = spec.l2.miss_penalty_cycles
-        p3 = spec.llc.miss_penalty_cycles
+        model = self.cycle_model
         out: dict[int, float] = {}
-        for mod, row in self.module_stats.items():
-            instr_stalls = (
-                (row[M_IF_L1M] * p1 + row[M_IF_L2M] * p2 + row[M_IF_LLCM] * p3)
-                * ov.instr
-                * self.cycle_model.frontend_refill_factor
+        for mod, row in (self.module_stats if rows is None else rows).items():
+            frontend, data, coherence, branch, tlb = model.stall_terms(
+                PerfCounters(
+                    l1i_misses=row[M_IF_L1M],
+                    l2i_misses=row[M_IF_L2M],
+                    llci_misses=row[M_IF_LLCM],
+                    l1d_misses=row[M_D_L1M],
+                    l2d_misses=row[M_D_L2M],
+                    llcd_misses=row[M_D_LLCM],
+                    llcd_serial_misses=row[M_D_SERIAL_LLCM],
+                    coherence_misses=row[M_COHER],
+                    dtlb_walks=row[M_DTLB_WALKS],
+                )
             )
-            llcd_parallel = row[M_D_LLCM] - row[M_D_SERIAL_LLCM]
-            data_stalls = (
-                row[M_D_L1M] * p1 * ov.l1d
-                + row[M_D_L2M] * p2 * ov.l2d
-                + llcd_parallel * p3 * ov.llcd
-                + row[M_D_SERIAL_LLCM] * p3 * ov.llcd_serial
-            )
-            coher_stalls = row[M_COHER] * p3 * ov.coherence
-            tlb_stalls = row[M_D_SERIAL_LLCM] * self.cycle_model.serial_miss_extra_cycles
-            out[mod] = (
-                row[M_BASE_CYCLES]
-                + instr_stalls
-                + data_stalls
-                + coher_stalls
-                + tlb_stalls
-            )
+            # Base first, then each term: `base + stall_cycles(...)` rounds differently.
+            out[mod] = row[M_BASE_CYCLES] + frontend + data + coherence + branch + tlb
         return out
 
     def snapshot_module_stats(self) -> dict[int, list[int]]:

@@ -86,16 +86,8 @@ class Profiler:
         self, start: dict[int, list[int]]
     ) -> tuple[dict[int, list[int]], dict[int, float]]:
         """Module counter rows and cycles attributable to the window only."""
-        # Temporarily swap in delta rows and reuse the machine's
-        # attribution model so window and full-run cycles agree.
-        machine = self.machine
-        current = machine.module_stats
         delta_rows: dict[int, list[int]] = {}
-        for mod, row in current.items():
+        for mod, row in self.machine.module_stats.items():
             base = start.get(mod)
             delta_rows[mod] = list(row) if base is None else [a - b for a, b in zip(row, base)]
-        machine.module_stats = delta_rows
-        try:
-            return delta_rows, machine.module_cycles()
-        finally:
-            machine.module_stats = current
+        return delta_rows, self.machine.module_cycles(delta_rows)

@@ -5,12 +5,14 @@ miss (``SERIAL_MISS_EXTRA_CYCLES``) for the dTLB walk + cold DRAM row a
 random access into a 100 GB working set pays.  This module provides the
 *mechanistic* version: a two-level data TLB (Ivy Bridge: 64-entry L1
 dTLB, 512-entry unified STLB, 4 KB pages) simulated over every data
-access.  The hierarchy counts the resulting page walks; the cycle model
-can then charge measured walks instead of the constant
-(``tlb_mode="measured"``), and the ablation test
-(`tests/test_ablations.py`) shows the two agree — and
-what 2 MB huge pages would buy, a hardware/software co-design lever in
-the spirit of the paper's Section 8.
+access.  The hierarchy counts the resulting page walks, per core and
+per code module; with ``tlb_mode="measured"`` the cycle model charges
+each walk ``PAGE_WALK_CYCLES`` (:mod:`repro.core.cpu`) instead of the
+constant.  A :class:`TLBSpec` is geometry only: the walk cost is the
+same for every page size.  The ablation test
+(`tests/test_ablations.py`) shows the two modes agree — and what 2 MB
+huge pages would buy, a hardware/software co-design lever in the spirit
+of the paper's Section 8.
 
 Instruction pages are not modelled: the engines' code footprints span
 at most a few hundred pages, well within the 128-entry iTLB.
@@ -33,7 +35,6 @@ class TLBSpec:
     stlb_entries: int = 512
     stlb_associativity: int = 4
     page_bytes: int = 4096
-    page_walk_cycles: int = 140
 
     def __post_init__(self) -> None:
         if self.page_bytes % CACHE_LINE_BYTES:

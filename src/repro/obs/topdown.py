@@ -9,16 +9,15 @@ slots that sum to one:
 * **retiring** — cycles doing useful work, ``(instructions /
   ideal_ipc) / cycles``;
 * **bad speculation** — branch-misprediction recovery;
-* **frontend bound** — instruction-fetch starvation (L1I/L2/LLC
-  instruction misses through the overlap model's refill factor);
+* **frontend bound** — instruction-fetch starvation, the model's
+  frontend stall term;
 * **backend bound** — the remainder, split into **memory bound**
-  (data/coherence/serial-miss stalls) and **core bound**.
+  (the data, coherence and TLB stall terms) and **core bound**.
 
-The fractions reuse exactly the constants :class:`~repro.core.cpu.CycleModel`
-uses to *produce* elapsed cycles, so on this simulator the slots are an
-accounting identity rather than an estimate — which makes the report a
-useful cross-check: if backend-bound goes negative the cycle model and
-the attribution have diverged.
+The slots are priced by :meth:`~repro.core.cpu.CycleModel.stall_terms`
+of the model that *produced* the elapsed cycles, so on this simulator
+they are an accounting identity rather than an estimate, provided the
+caller passes the run's own model.
 """
 
 from __future__ import annotations
@@ -26,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.counters import PerfCounters
-from repro.core.cpu import (
-    DEFAULT_OVERLAP,
-    FRONTEND_REFILL_FACTOR,
-    SERIAL_MISS_EXTRA_CYCLES,
-    OverlapModel,
-)
-from repro.core.spec import IVY_BRIDGE, ServerSpec
+from repro.core.cpu import CycleModel
 
 
 @dataclass(frozen=True)
@@ -61,31 +54,20 @@ class TopDown:
 ZERO = TopDown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def topdown(
-    delta: PerfCounters,
-    spec: ServerSpec = IVY_BRIDGE,
-    overlap: OverlapModel = DEFAULT_OVERLAP,
-    *,
-    frontend_refill_factor: float = FRONTEND_REFILL_FACTOR,
-    serial_miss_extra_cycles: int = SERIAL_MISS_EXTRA_CYCLES,
-) -> TopDown:
-    """Attribute *delta*'s elapsed cycles to the four level-1 TMAM slots."""
+def topdown(delta: PerfCounters, model: CycleModel) -> TopDown:
+    """Attribute *delta*'s elapsed cycles to the four level-1 TMAM slots.
+
+    *model* is the :class:`~repro.core.cpu.CycleModel` that priced
+    *delta*'s cycles.
+    """
     cycles = float(delta.cycles)
     if cycles <= 0:
         return ZERO
 
-    retiring = min(1.0, (delta.instructions / spec.ideal_ipc) / cycles)
-    bad_spec = delta.mispredicts * spec.branch_misprediction_penalty / cycles
-
-    p1 = spec.l1i.miss_penalty_cycles
-    p2 = spec.l2.miss_penalty_cycles
-    p3 = spec.llc.miss_penalty_cycles
-    frontend = (
-        (delta.l1i_misses * p1 + delta.l2i_misses * p2 + delta.llci_misses * p3)
-        * overlap.instr
-        * frontend_refill_factor
-        / cycles
-    )
+    terms = model.stall_terms(delta)
+    retiring = min(1.0, (delta.instructions / model.spec.ideal_ipc) / cycles)
+    bad_spec = terms.branch / cycles
+    frontend = terms.frontend / cycles
 
     # The first three slots can overshoot 1.0 on degenerate windows
     # (e.g. counters not produced by the cycle model); rescale so the
@@ -96,16 +78,7 @@ def topdown(
         used = 1.0
     backend = 1.0 - used
 
-    llcd_parallel = delta.llcd_misses - delta.llcd_serial_misses
-    memory_stalls = (
-        delta.l1d_misses * p1 * overlap.l1d
-        + delta.l2d_misses * p2 * overlap.l2d
-        + llcd_parallel * p3 * overlap.llcd
-        + delta.llcd_serial_misses * p3 * overlap.llcd_serial
-        + delta.coherence_misses * p3 * overlap.coherence
-        + delta.llcd_serial_misses * serial_miss_extra_cycles
-    )
-    memory = min(backend, memory_stalls / cycles)
+    memory = min(backend, (terms.data + terms.coherence + terms.tlb) / cycles)
     core = backend - memory
 
     return TopDown(retiring, bad_spec, frontend, backend, memory, core)

@@ -3,8 +3,8 @@
 Every comparison states its threshold explicitly:
 
 * **perf** (``bench`` vs ``bench``) — events/sec and txns/sec deltas;
-  a drop beyond :data:`PERF_REGRESSION_TOLERANCE` is flagged (the same
-  30 % the ``repro-bench perf --check`` CI gate uses).
+  a drop beyond :data:`PERF_REGRESSION_TOLERANCE` is flagged (the
+  ``repro-bench perf --check`` CI gate uses the same constant).
 * **latency** (``load`` vs ``load``) — per-multiplier p50/p99/p999 and
   achieved-throughput deltas; a p999 increase beyond
   :data:`P999_REGRESSION_TOLERANCE` is flagged (the ``load --check``
@@ -27,7 +27,8 @@ from repro.store.fsdb import RunStore
 from repro.store.schema import BENCH, CHAOS, FIGURE, LOAD, RunRecord
 
 PERF_REGRESSION_TOLERANCE = 0.30
-"""Flag a bench diff when events/sec drops by more than this fraction."""
+"""Flag a bench diff, or fail ``perf --check``, when events/sec drops by
+more than this fraction."""
 
 P999_REGRESSION_TOLERANCE = 0.30
 """Flag a load diff when p999 grows by more than this fraction."""

@@ -22,6 +22,7 @@ from repro.core.machine import (
     M_D_LLCM,
     M_D_SERIAL_LLCM,
     M_DACCESSES,
+    M_DTLB_WALKS,
     M_IF_L1M,
     M_IF_L2M,
     M_IF_LLCM,
@@ -64,7 +65,9 @@ def reference_run_trace(
             else:
                 delta.loads += 1
             row[M_DACCESSES] += 1
+            walks = tlb.walks
             level, transfer = hierarchy.access_data(core_id, line, write)
+            row[M_DTLB_WALKS] += tlb.walks - walks
             if transfer:
                 delta.coherence_misses += 1
                 row[M_COHER] += 1

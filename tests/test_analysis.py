@@ -15,7 +15,9 @@ from repro.analysis import (
     sweep_skew,
     SkewedMicroBenchmark,
 )
-from repro.bench.runner import RunSpec, run_repetition
+from repro.bench.runner import RunSpec, measure_window, run_repetition
+from repro.core.machine import Machine
+from repro.core.profiler import Profiler
 from repro.workloads.microbench import MicroBenchmark
 
 
@@ -72,6 +74,47 @@ class TestModuleBreakdownHardware:
         breakdown = {p.name: p.cycles for p in profile_modules(tuned, micro_factory)}
         assert breakdown == tuned_cycles
         assert tuned_cycles != repetition_cycles(default)
+
+
+def window_and_traces(spec, monkeypatch):
+    """The cell's measure window and how many traces were replayed in it."""
+    replayed = [0, 0]  # all replays, replays before the window opened
+    run_trace, start_window = Machine.run_trace, Profiler.start_window
+
+    def counting_run_trace(self, *args, **kwargs):
+        replayed[0] += 1
+        return run_trace(self, *args, **kwargs)
+
+    def marking_start_window(self):
+        replayed[1] = replayed[0]
+        start_window(self)
+
+    monkeypatch.setattr(Machine, "run_trace", counting_run_trace)
+    monkeypatch.setattr(Profiler, "start_window", marking_start_window)
+    _, window, _ = measure_window(spec, micro_factory, spec.seed)
+    return window, replayed[0] - replayed[1]
+
+
+class TestModuleAttributionAddsUp:
+    """Module rows are priced by the cycle model that prices the window."""
+
+    @pytest.mark.parametrize("tlb_mode", ["constant", "measured"])
+    def test_modules_plus_branch_stalls_are_the_window(self, tlb_mode, monkeypatch):
+        spec = RunSpec(system="hyper", tlb_mode=tlb_mode).quick()
+        window, traces = window_and_traces(spec, monkeypatch)
+        counters = window.counters()
+        branch = counters.mispredicts * spec.server.branch_misprediction_penalty
+        attributed = sum(window.module_cycles.values()) + branch
+        # Each trace's cycles are rounded to an int; the rows are not.
+        assert abs(attributed - counters.cycles) <= 0.5 * traces
+
+    def test_measured_mode_ignores_the_serial_surcharge(self, monkeypatch):
+        spec = RunSpec(system="hyper", tlb_mode="measured").quick()
+        windows = [
+            window_and_traces(replace(spec, serial_miss_extra_cycles=extra), monkeypatch)[0]
+            for extra in (None, 0)
+        ]
+        assert windows[0].module_cycles == windows[1].module_cycles
 
 
 class TestHardwareSweeps:

@@ -8,6 +8,7 @@ from repro.core.cpu import (
     DEFAULT_OVERLAP,
     FRONTEND_REFILL_FACTOR,
     OverlapModel,
+    PAGE_WALK_CYCLES,
     SERIAL_MISS_EXTRA_CYCLES,
 )
 from repro.core.spec import IVY_BRIDGE
@@ -91,3 +92,19 @@ class TestStallAccounting:
         model = CycleModel(IVY_BRIDGE, serial_miss_extra_cycles=0, frontend_refill_factor=1.0)
         delta = PerfCounters(l1i_misses=1, llcd_misses=1, llcd_serial_misses=1)
         assert model.stall_cycles(delta) == pytest.approx(8 + 167)
+
+    def test_stall_cycles_sum_the_terms(self):
+        delta = PerfCounters(
+            l1i_misses=7, l2i_misses=3, llci_misses=1, l1d_misses=9, l2d_misses=4,
+            llcd_misses=3, llcd_serial_misses=2, coherence_misses=1, mispredicts=5,
+            dtlb_walks=6,
+        )
+        for mode, tlb in (
+            ("constant", 2 * SERIAL_MISS_EXTRA_CYCLES),
+            ("measured", 6 * PAGE_WALK_CYCLES),
+        ):
+            model = CycleModel(IVY_BRIDGE, tlb_mode=mode)
+            terms = model.stall_terms(delta)
+            assert model.stall_cycles(delta) == sum(terms)
+            assert terms.branch == 5 * IVY_BRIDGE.branch_misprediction_penalty
+            assert terms.tlb == tlb

@@ -7,6 +7,9 @@ import pytest
 
 from repro import obs
 from repro.core.counters import PerfCounters
+from repro.core.cpu import PAGE_WALK_CYCLES, CycleModel, OverlapModel
+from repro.core.machine import Machine
+from repro.core.trace import AccessTrace
 from repro.obs.exporters import (
     chrome_trace,
     prometheus_text,
@@ -255,7 +258,7 @@ class TestPrometheusText:
 
 class TestTopDown:
     def test_zero_window_is_all_zero(self):
-        td = topdown(PerfCounters())
+        td = topdown(PerfCounters(), CycleModel())
         assert td.as_dict() == {k: 0.0 for k in td.as_dict()}
 
     def test_level1_sums_to_one(self):
@@ -270,7 +273,7 @@ class TestTopDown:
             l2d_misses=30,
             llcd_misses=10,
         )
-        td = topdown(c)
+        td = topdown(c, CycleModel())
         total = td.retiring + td.bad_speculation + td.frontend_bound + td.backend_bound
         assert total == pytest.approx(1.0)
         assert td.memory_bound + td.core_bound == pytest.approx(td.backend_bound)
@@ -279,7 +282,7 @@ class TestTopDown:
 
     def test_ideal_loop_is_all_retiring(self):
         c = PerfCounters(instructions=30_000, cycles=10_000)
-        td = topdown(c)
+        td = topdown(c, CycleModel())
         assert td.retiring == pytest.approx(1.0)
         assert td.backend_bound == pytest.approx(0.0)
 
@@ -287,10 +290,28 @@ class TestTopDown:
         # Degenerate counters (not produced by the cycle model): claimed
         # slots exceed elapsed cycles; the level-1 identity must survive.
         c = PerfCounters(instructions=60_000, cycles=10_000, l1i_misses=10_000)
-        td = topdown(c)
+        td = topdown(c, CycleModel())
         total = td.retiring + td.bad_speculation + td.frontend_bound + td.backend_bound
         assert total == pytest.approx(1.0)
         assert td.backend_bound >= 0.0
+
+    def test_slots_priced_by_the_given_model(self):
+        overlap = OverlapModel(l1d=0.1, l2d=0.2, llcd=0.9, llcd_serial=0.8, coherence=0.5)
+        machine = Machine(overlap=overlap, tlb_mode="measured")
+        trace = AccessTrace()
+        trace.ifetch_run(4096, 300, module=0)
+        for i in range(200):
+            trace.load(10**8 + 4099 * i, 0, serial=i % 2 == 0)
+        trace.store_run(5000, 50, 0)
+        trace.retire(0, 20_000, branches=3000, mispredicts=40)
+        c = machine.run_trace(trace)
+        model = machine.cycle_model
+        td = topdown(c, model)
+        total = td.retiring + td.bad_speculation + td.frontend_bound + td.backend_bound
+        assert total == pytest.approx(1.0)
+        terms = model.stall_terms(c)
+        assert c.dtlb_walks > 0 and terms.tlb == c.dtlb_walks * PAGE_WALK_CYCLES
+        assert td.memory_bound == (terms.data + terms.coherence + terms.tlb) / c.cycles
 
 
 def tiny_spec(**kw):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.machine import Machine
+from repro.core.machine import M_DTLB_WALKS, Machine
 from repro.core.tlb import DataTLB, HUGE_PAGE_DTLB, IVY_BRIDGE_DTLB, TLBSpec
 from repro.core.trace import AccessTrace
 from tests.conftest import TINY_SERVER
@@ -99,6 +99,17 @@ class TestMachineIntegration:
         d_meas = measured.run_trace(t)
         assert d_meas.dtlb_walks == d_const.dtlb_walks
         assert d_meas.cycles != d_const.cycles  # different charging model
+
+    def test_walks_attributed_per_module(self):
+        machine = Machine(TINY_SERVER)
+        t = AccessTrace()
+        for i in range(200):
+            t.load((1 << 22) + i * 64, i % 3, serial=True)
+        t.retire(0, 1000)
+        delta = machine.run_trace(t)
+        walks = [row[M_DTLB_WALKS] for row in machine.module_stats.values()]
+        assert len(walks) == 3 and min(walks) > 0
+        assert sum(walks) == delta.dtlb_walks
 
     def test_invalid_tlb_mode(self):
         with pytest.raises(ValueError):
