@@ -17,7 +17,13 @@ from repro.storage.record import microbench_schema
 
 
 def test_trace_replay_throughput(benchmark):
-    """Events/second through Machine.run_trace (the hot loop)."""
+    """Events/second through Machine.run_trace (the hot loop).
+
+    The same trace repeats, so after the first rounds the core's L1I
+    transition memo serves every instruction line and the timing covers
+    the memo-served path; rounds are not comparable with records taken
+    before the memo existed.
+    """
     machine = Machine()
     rng = random.Random(0)
     trace = AccessTrace()

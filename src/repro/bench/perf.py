@@ -37,7 +37,13 @@ FULL_SWEEP_FIGURES = ["fig1", "fig9", "fig13"]
 
 
 def bench_replay_events_per_sec(*, min_seconds: float = 0.5) -> dict:
-    """Events/second through Machine.run_trace (the replay hot loop)."""
+    """Events/second through Machine.run_trace (the replay hot loop).
+
+    The trace repeats, so after warm-up the core's L1I transition memo
+    serves every instruction line: this times the memo-served path, and
+    its events/s are not comparable with ``bench`` records taken before
+    the memo existed.
+    """
     from repro.core.machine import Machine
     from repro.core.trace import AccessTrace
 

@@ -23,7 +23,7 @@ from repro.core.spec import CacheSpec
 def _disjoint(regions: list[tuple[int, int, int]]) -> bool:
     """True if no two ``(base, count, step)`` regions' line spans overlap."""
     spans = sorted(
-        (base, base + (count - 1) * step) for base, count, step in regions if count > 0
+        sorted((base, base + (count - 1) * step)) for base, count, step in regions if count > 0
     )
     return all(prev_end < start for (_, prev_end), (start, _) in zip(spans, spans[1:]))
 
@@ -117,17 +117,24 @@ class SetAssociativeCache:
         n_sets)``; a line with ``assoc`` same-set successors in its own
         region is evicted by them before the region ends.  Those are
         exactly the region's first ``count - period * assoc`` lines, so
-        they are skipped and counted as evictions.
+        they are skipped and counted as evictions.  The lines that are
+        filled are not resident either, so they skip the probe.
         """
         sets, n_sets, assoc = self._sets, self.n_sets, self.assoc
         skip = not any(sets) and _disjoint(regions)
         evictions = 0
         for base, count, step in regions:
-            first = 0
             if skip:
                 first = max(0, count - n_sets // gcd(step, n_sets) * assoc)
                 evictions += first
-            for line in range(base + first * step, base + count * step, step):
+                for line in range(base + first * step, base + count * step, step):
+                    s = sets[line % n_sets]
+                    if len(s) >= assoc:
+                        del s[next(iter(s))]
+                        evictions += 1
+                    s[line] = None
+                continue
+            for line in range(base, base + count * step, step):
                 s = sets[line % n_sets]
                 if s.pop(line, 0) is None:
                     s[line] = None

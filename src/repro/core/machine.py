@@ -11,10 +11,16 @@ The replay loop is the hot path of the whole reproduction — it is
 written with local-variable bindings and minimal indirection on purpose:
 :meth:`Machine.run_trace` probes the cache and dTLB set dicts inline
 rather than calling the hierarchy once per access, and the tests check
-it against those per-access paths.
+it against those per-access paths.  Each core also remembers the L1I
+transition of its last trace at least as long as the L1I: a trace that
+starts from the same L1I contents with the same instruction events
+skips every L1I probe and sends only the remembered L1I misses down the
+L2 -> LLC cascade.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from repro import obs
 from repro.core.counters import PerfCounters
@@ -38,6 +44,16 @@ M_DACCESSES = 10
 M_BASE_CYCLES = 11  # float accumulator (no-miss cycles)
 M_DTLB_WALKS = 12
 _MODULE_FIELDS = 13
+
+
+class _L1ITransition(NamedTuple):
+    """One trace's effect on a core's L1I (see :meth:`Machine._l1i_transition`)."""
+
+    start: tuple[tuple[int, ...], ...]  # the L1I's sets in LRU order before the trace
+    fetches: list  # the trace's instruction-event addrs, in order
+    misses: list[list[int]]  # the L1I-miss lines of each instruction event
+    evictions: int
+    end: tuple[tuple[int, ...], ...]  # the sets after the trace; `start` itself if equal
 
 
 class Machine:
@@ -68,6 +84,10 @@ class Machine:
         # breakdown in the paper is per worker thread, and the runner
         # uses one machine per configuration).
         self.module_stats: dict[int, list[int]] = {}
+        # core id -> the last L1I transition replay recorded on it.
+        self._l1i_memo: list[_L1ITransition | None] = [None] * n_cores
+        # Traces whose L1I misses the memo served (host work count).
+        self.l1i_memo_hits = 0
 
     # -- replay ------------------------------------------------------------
 
@@ -93,6 +113,16 @@ class Machine:
         line resident and most-recently-used and are no-ops.  Coherence
         goes through :meth:`~repro.core.hierarchy.MemoryHierarchy.snoop`
         when the machine has more than one core.
+
+        A trace of at least as many lines as the L1I holds takes its L1I
+        misses from :meth:`_l1i_transition`: when the core's L1I starts
+        in the state the remembered transition started from and the
+        instruction events are equal, no L1I line is probed; each
+        instruction event's remembered misses go down the L2 -> LLC
+        cascade at that event's position, so the data path, snoops,
+        counters and module rows still run per event in trace order.
+        A shorter trace probes the L1I inline and records nothing.
+        :attr:`l1i_memo_hits` counts the traces the memo served.
         """
         # Observability fast path: one null-check here, one complete()
         # below — no context-manager frame in the replay loop.
@@ -119,6 +149,15 @@ class Machine:
         tlb_l1m = walks = 0
         e_i1 = e_d1 = e_l2 = e_l3 = 0
 
+        # A trace at least as long as the L1I holds lines takes its L1I
+        # misses from the core's remembered transition; a shorter one
+        # cannot pay back the keying and probes the L1I inline.
+        served = None
+        memo = "off"
+        if len(trace) >= i1_n * i1_a:
+            l1i_misses, e_i1, memo = self._l1i_transition(core_id, trace)
+            served = iter(l1i_misses)
+
         # Module-row lookup hoisted behind a last-module cache: traces
         # are long single-module spans, so most events reuse `row`.
         last_mod = -1
@@ -137,34 +176,58 @@ class Machine:
                 else:
                     start, n_lines = addr
                 l1m = l2m = llcm = 0
-                for line in range(start, start + n_lines):
-                    s = i1_sets[line % i1_n]
-                    if s.pop(line, 0) is None:
+                if served is not None:
+                    # The L1I is already in the trace's end state: send
+                    # this event's L1I misses down the L2 -> LLC cascade.
+                    for line in next(served):
+                        l1m += 1
+                        s = l2_sets[line % l2_n]
+                        if s.pop(line, 0) is None:
+                            s[line] = None
+                            continue
+                        l2m += 1
+                        if len(s) >= l2_a:
+                            del s[next(iter(s))]
+                            e_l2 += 1
                         s[line] = None
-                        continue
-                    l1m += 1
-                    if len(s) >= i1_a:
-                        del s[next(iter(s))]
-                        e_i1 += 1
-                    s[line] = None
-                    s = l2_sets[line % l2_n]
-                    if s.pop(line, 0) is None:
+                        s = l3_sets[line % l3_n]
+                        if s.pop(line, 0) is None:
+                            s[line] = None
+                            continue
+                        llcm += 1
+                        if len(s) >= l3_a:
+                            del s[next(iter(s))]
+                            e_l3 += 1
                         s[line] = None
-                        continue
-                    l2m += 1
-                    if len(s) >= l2_a:
-                        del s[next(iter(s))]
-                        e_l2 += 1
-                    s[line] = None
-                    s = l3_sets[line % l3_n]
-                    if s.pop(line, 0) is None:
+                else:
+                    for line in range(start, start + n_lines):
+                        s = i1_sets[line % i1_n]
+                        if s.pop(line, 0) is None:
+                            s[line] = None
+                            continue
+                        l1m += 1
+                        if len(s) >= i1_a:
+                            del s[next(iter(s))]
+                            e_i1 += 1
                         s[line] = None
-                        continue
-                    llcm += 1
-                    if len(s) >= l3_a:
-                        del s[next(iter(s))]
-                        e_l3 += 1
-                    s[line] = None
+                        s = l2_sets[line % l2_n]
+                        if s.pop(line, 0) is None:
+                            s[line] = None
+                            continue
+                        l2m += 1
+                        if len(s) >= l2_a:
+                            del s[next(iter(s))]
+                            e_l2 += 1
+                        s[line] = None
+                        s = l3_sets[line % l3_n]
+                        if s.pop(line, 0) is None:
+                            s[line] = None
+                            continue
+                        llcm += 1
+                        if len(s) >= l3_a:
+                            del s[next(iter(s))]
+                            e_l3 += 1
+                        s[line] = None
                 n_if += n_lines
                 row[M_IFETCHES] += n_lines
                 if l1m:
@@ -288,8 +351,64 @@ class Machine:
                 events=len(trace.kinds),
                 instructions=delta.instructions,
                 cycles=delta.cycles,
+                l1i_memo=memo,
             )
         return delta
+
+    def _l1i_transition(self, core_id: int, trace: AccessTrace) -> tuple[list, int, str]:
+        """The L1I-miss lines of each instruction event of *trace* on
+        *core_id*, the L1I's eviction count, and ``"hit"`` or
+        ``"recorded"``; leaves the core's L1I in its end state.
+
+        Only this core's instruction events touch its L1I (snoops touch
+        L1D/L2, data never enters the L1I), and each probe depends only
+        on its set's contents and order, so the transition is a pure
+        function of the L1I's start contents and the instruction events.
+        The core's last transition is reused when both are equal;
+        otherwise the L1I is probed and the transition remembered.
+        """
+        l1i = self.hierarchy.cores[core_id].l1i
+        sets = l1i._sets
+        start = tuple(map(tuple, sets))
+        fetches = [
+            addr
+            for kind, addr in zip(trace.kinds, trace.addrs)
+            if kind == IFETCH_RUN or kind == IFETCH
+        ]
+        memo = self._l1i_memo[core_id]
+        if memo is not None and memo.fetches == fetches and memo.start == start:
+            self.l1i_memo_hits += 1
+            if memo.end is not memo.start:
+                for s, lines in zip(sets, memo.end):
+                    s.clear()
+                    s.update(dict.fromkeys(lines))
+            return memo.misses, memo.evictions, "hit"
+
+        n_sets, assoc = l1i.n_sets, l1i.assoc
+        misses: list[list[int]] = []
+        evictions = 0
+        for addr in fetches:
+            if addr.__class__ is tuple:
+                first, n_lines = addr
+            else:
+                first, n_lines = addr, 1
+            missed = []
+            for line in range(first, first + n_lines):
+                s = sets[line % n_sets]
+                if s.pop(line, 0) is None:
+                    s[line] = None
+                    continue
+                if len(s) >= assoc:
+                    del s[next(iter(s))]
+                    evictions += 1
+                s[line] = None
+                missed.append(line)
+            misses.append(missed)
+        end = tuple(map(tuple, sets))
+        self._l1i_memo[core_id] = _L1ITransition(
+            start, fetches, misses, evictions, start if end == start else end
+        )
+        return misses, evictions, "recorded"
 
     # -- module attribution --------------------------------------------------
 
@@ -341,3 +460,4 @@ class Machine:
         for c in self.counters:
             c.reset()
         self.module_stats.clear()
+        self._l1i_memo = [None] * self.n_cores

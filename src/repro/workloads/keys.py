@@ -8,6 +8,9 @@ repetition).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import accumulate
 
 # TPC-C NURand constants (clause 2.1.6); C values are per-run constants.
 NURAND_A_C_LAST = 255
@@ -45,18 +48,20 @@ def zipf_key(rng: random.Random, n: int, theta: float = 0.8, *, n_ranks: int = 6
         raise ValueError("theta must be in [0, 1)")
     if n <= n_ranks:
         return rng.randrange(n)
-    weights = [(i + 1) ** -(1.0 / (1.0 - theta)) for i in range(n_ranks)]
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    bucket = 0
-    for i, w in enumerate(weights):
-        acc += w
-        if r <= acc:
-            bucket = i
-            break
+    total, bounds = _zipf_buckets(theta, n_ranks)
+    bucket = bisect_left(bounds, rng.random() * total)
+    if bucket == n_ranks:
+        # `sum` can round above the running sum; such a draw falls to bucket 0.
+        bucket = 0
     per_bucket = n // n_ranks
     return bucket * per_bucket + rng.randrange(per_bucket)
+
+
+@lru_cache(maxsize=None)
+def _zipf_buckets(theta: float, n_ranks: int) -> tuple[float, tuple[float, ...]]:
+    """``sum`` of the rank weights and their running sums, added in rank order."""
+    weights = [(i + 1) ** -(1.0 / (1.0 - theta)) for i in range(n_ranks)]
+    return sum(weights), tuple(accumulate(weights))
 
 
 def distinct_keys(rng: random.Random, n_domain: int, count: int) -> list[int]:

@@ -122,3 +122,18 @@ class TestWritesAndInvalidation:
         c.fill(9)
         assert c.stats.accesses == 0
         assert c.lookup(9)  # resident
+
+
+class TestFillRegions:
+    @pytest.mark.parametrize("regions", [[(22, 5, -2)], [(22, 5, -2), (18, 1, 1)]])
+    def test_regions_that_step_back_match_per_line_fills(self, regions):
+        # Line 18 is in both regions of the second case: a backward span
+        # must count as overlapping, or the cold skip path, which does
+        # not probe, would evict it to refill it.
+        fast, slow = small_cache(), small_cache()
+        fast.fill_regions(regions)
+        for base, count, step in regions:
+            for i in range(count):
+                slow.fill(base + i * step)
+        assert [list(s) for s in fast._sets] == [list(s) for s in slow._sets]
+        assert fast.stats == slow.stats

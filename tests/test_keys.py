@@ -45,7 +45,34 @@ class TestNURand:
         assert top > 3 * (30_000 / 3000)
 
 
+def loop_zipf_key(rng: random.Random, n: int, theta: float, n_ranks: int = 64) -> int:
+    """The per-draw form ``zipf_key`` had: rebuild the weights, walk the sums."""
+    if n <= n_ranks:
+        return rng.randrange(n)
+    weights = [(i + 1) ** -(1.0 / (1.0 - theta)) for i in range(n_ranks)]
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    bucket = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if r <= acc:
+            bucket = i
+            break
+    per_bucket = n // n_ranks
+    return bucket * per_bucket + rng.randrange(per_bucket)
+
+
 class TestZipf:
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.8, 0.95, 0.99])
+    @pytest.mark.parametrize("n_ranks", [8, 64])
+    def test_matches_the_per_draw_loop(self, theta, n_ranks):
+        fast, loop = random.Random(11), random.Random(11)
+        for _ in range(10_000):
+            assert zipf_key(fast, 100_000, theta, n_ranks=n_ranks) == loop_zipf_key(
+                loop, 100_000, theta, n_ranks
+            )
+
     def test_in_range(self):
         rng = random.Random(5)
         assert all(0 <= zipf_key(rng, 10_000, 0.8) < 10_000 for _ in range(2000))

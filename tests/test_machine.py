@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro import obs
 from repro.bench.figures.common import TPC_DB_BYTES, cell_spec, engine_config_for
 from repro.bench.parallel import workload_spec
 from repro.bench.runner import measure_window
@@ -248,11 +249,110 @@ class TestFusedReplayMatchesReference:
         assert hierarchy.coherence_transfers
 
 
+# Instruction skeletons, as (first line, n lines) runs, on TINY_SERVER's
+# L1I of 32 lines (16 sets, 2 ways); a trace of 32 lines or more keys
+# the memo.  WARM leaves each set s holding (s, s + 16).  SWAP turns each
+# set's order round, and BACK, below the gate, turns it back, so a
+# second SWAP from WARM's state is served with an end state unlike its
+# start.  LOOP overflows the L1I into a fixed point that still evicts.
+WARM = ((0, 32),)
+SWAP = ((16, 16), (0, 16))
+BACK = ((16, 16),)
+LOOP = ((0, 48),)
+skeleton_st = st.one_of(
+    st.sampled_from([WARM, SWAP, BACK, LOOP]),
+    st.lists(st.tuples(st.integers(0, 47), st.integers(1, 40)), min_size=1, max_size=4).map(tuple),
+)
+data_st = st.tuples(st.sampled_from(["load", "load_serial", "store"]), line_st, st.just(0))
+schedule_st = st.lists(
+    st.tuples(st.integers(0, 2), skeleton_st, st.lists(data_st, max_size=6)),
+    min_size=1,
+    max_size=12,
+)
+# Both kinds of served trace, with and without L1I evictions.
+MEMO_SCHEDULE = [(0, WARM, []), (0, SWAP, []), (0, BACK, []), (0, SWAP, [("store", 5, 0)]),
+                 (0, SWAP, []), (0, SWAP, []), (0, LOOP, []), (0, LOOP, [("load", 9, 0)]),
+                 (0, LOOP, [])]
+
+
+def skeleton_trace(skeleton, data) -> AccessTrace:
+    """Each run of *skeleton*, each followed by its round-robin share of *data*."""
+    events = []
+    for i, (first, n_lines) in enumerate(skeleton):
+        events.append((("ifetch_run", first, n_lines), i % 3))
+        events += [(event, 3) for event in data[i::len(skeleton)]]
+    return build_trace(events)
+
+
+class TestL1IMemo:
+    """The per-core L1I transition memo of run_trace, against the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_cores=st.sampled_from([1, 3]), schedule=schedule_st)
+    @example(n_cores=1, schedule=MEMO_SCHEDULE)
+    @example(n_cores=3, schedule=[(core, *rest) for _, *rest in MEMO_SCHEDULE for core in (0, 2)])
+    def test_schedules_match_reference(self, n_cores, schedule):
+        fused, reference = (
+            Machine(TINY_SERVER, n_cores=n_cores, tlb_spec=TINY_DTLB) for _ in range(2)
+        )
+        for core, skeleton, data in schedule:
+            trace = skeleton_trace(skeleton, data)
+            core %= n_cores
+            d1 = fused.run_trace(trace, core)
+            d2 = reference_run_trace(reference, trace, core)
+            assert d1.as_dict() == d2.as_dict()
+            assert machine_state(fused) == machine_state(reference)
+
+    def test_schedule_serves_every_kind_of_transition(self):
+        machine = Machine(TINY_SERVER)
+        l1i = machine.hierarchy.cores[0].l1i
+        served = []
+        for _, skeleton, data in MEMO_SCHEDULE:
+            hits, evictions = machine.l1i_memo_hits, l1i.stats.evictions
+            start = [list(s) for s in l1i._sets]
+            machine.run_trace(skeleton_trace(skeleton, data))
+            if machine.l1i_memo_hits > hits:
+                served.append(
+                    ([list(s) for s in l1i._sets] == start, l1i.stats.evictions > evictions)
+                )
+        # Served from a fixed point, from a state it leaves, and with evictions.
+        assert {(True, False), (False, False), (True, True)} <= set(served)
+
+    def test_trace_below_the_gate_never_hits(self):
+        machine = Machine(TINY_SERVER)
+        trace = skeleton_trace(((0, 31),), [])
+        assert len(trace) < 32
+        for _ in range(5):
+            machine.run_trace(trace)
+        assert machine.l1i_memo_hits == 0
+
+    def test_replay_span_says_how_the_l1i_was_replayed(self):
+        machine = Machine(TINY_SERVER)
+        with obs.using_obs(True) as tracer:
+            for skeleton in (BACK, LOOP, LOOP, LOOP):
+                machine.run_trace(skeleton_trace(skeleton, []))
+        memo = [e.args["l1i_memo"] for e in tracer.events if e.name == "replay"]
+        # The second LOOP starts from the first one's end state.
+        assert memo == ["off", "recorded", "recorded", "hit"]
+
+    def test_reset_drops_the_transitions(self):
+        machine = Machine(TINY_SERVER)
+        trace = skeleton_trace(LOOP, [])
+        machine.run_trace(trace)
+        machine.reset()
+        machine.run_trace(trace)
+        assert machine.l1i_memo_hits == 0
+        machine.run_trace(trace)
+        machine.run_trace(trace)
+        assert machine.l1i_memo_hits == 1
+
+
 class TestEngineTracesMatchReference:
     """Real engine traces, replayed from the cell's primed machine."""
 
     @pytest.mark.parametrize(
-        "system, kind, n_cores", [("hyper", "micro", 1), ("shore-mt", "tpcb", 4)]
+        "system, kind, n_cores",
+        [("hyper", "micro", 1), ("shore-mt", "micro", 1), ("shore-mt", "tpcb", 4)],
     )
     def test_quick_cell(self, monkeypatch, system, kind, n_cores):
         spec = cell_spec(
@@ -278,3 +378,5 @@ class TestEngineTracesMatchReference:
             d2 = reference_run_trace(reference, trace, core, transactions=transactions)
             assert d1.as_dict() == d2.as_dict()
         assert machine_state(fused) == machine_state(reference)
+        # HyPer's traces are shorter than the L1I and never key the memo.
+        assert (fused.l1i_memo_hits > 0) == (system != "hyper")
